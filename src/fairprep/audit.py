@@ -80,7 +80,8 @@ def group_stats(estimates, groups, strata) -> list:
     """Per-(group, stratum) mean and population std of the estimates.
 
     Groups and strata keep first-appearance order. Every observed group must
-    appear in every observed stratum; an empty cell is an error naming it.
+    appear in every observed stratum; an empty cell is an error naming it, and
+    so is a NaN or infinite estimate (by its 0-based row).
     """
     estimates = np.asarray(estimates, dtype=float).ravel()
     groups = list(groups)
@@ -91,6 +92,10 @@ def group_stats(estimates, groups, strata) -> list:
         )
     if len(estimates) == 0:
         raise DataError("no estimates to audit")
+    bad = ~np.isfinite(estimates)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DataError(f"non-finite estimate {float(estimates[i])} at row {i}")
     group_order = list(dict.fromkeys(groups))
     stratum_order = list(dict.fromkeys(strata))
     out = []

@@ -137,13 +137,16 @@ def _cmd_debias(args) -> int:
     carried = [s.name for s in relabeled if s.role == "drop"]
     table = drop_columns(full_table, carried) if carried else full_table
 
-    cfg = DebiasConfig(
-        latent_dim=args.latent,
-        adversary_weight=args.adversary_weight,
-        epochs=args.epochs,
-        adversary_steps=args.adversary_steps,
-        seed=args.seed,
-    )
+    try:
+        cfg = DebiasConfig(
+            latent_dim=args.latent,
+            adversary_weight=args.adversary_weight,
+            epochs=args.epochs,
+            adversary_steps=args.adversary_steps,
+            seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     report = {
         "config": asdict(cfg),
         "input": os.path.basename(args.input),
@@ -155,23 +158,20 @@ def _cmd_debias(args) -> int:
     except TrainingDivergedError as exc:
         if args.report and exc.trace is not None:
             report["error"] = str(exc)
-            report["trace"] = {
-                "reconstruction_loss": exc.trace.reconstruction_loss,
-                "adversary_loss": exc.trace.adversary_loss,
-                "combined_loss": exc.trace.combined_loss,
-            }
+            report["trace"] = asdict(exc.trace)
             write_json(args.report, report)
         raise
 
     debiased = transform(model, table)
+    output = debiased
     if carried:
-        debiased = DataTable(
+        output = DataTable(
             list(full_table.schema),
             {s.name: (full_table.columns[s.name] if s.name in carried
                       else debiased.columns[s.name])
              for s in full_table.schema},
         )
-    write_csv(debiased, args.output)
+    write_csv(output, args.output)
     if args.model_out:
         save_debias_model(model, args.model_out)
     if args.trace_csv:
@@ -184,11 +184,7 @@ def _cmd_debias(args) -> int:
                 "post": leakage_probe(debiased, name, args.seed),
             }
         report["leakage_probe_auc"] = probes
-        report["trace"] = {
-            "reconstruction_loss": trace.reconstruction_loss,
-            "adversary_loss": trace.adversary_loss,
-            "combined_loss": trace.combined_loss,
-        }
+        report["trace"] = asdict(trace)
         write_json(args.report, report)
     return EXIT_OK
 

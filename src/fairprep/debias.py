@@ -24,7 +24,9 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import groupby
+from numbers import Integral
 
 import numpy as np
 
@@ -40,11 +42,10 @@ from .mlcore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
-    softmax,
-    log_sum_exp,
+    softmax_cross_entropy,
+    squared_error,
 )
 from .tabular import (
-    ColumnSpec,
     DataError,
     DataTable,
     DesignMatrix,
@@ -52,7 +53,8 @@ from .tabular import (
     apply_encoding,
     decode,
     encode,
-    split_indices,
+    encode_features,
+    split_indices_on,
 )
 
 
@@ -69,6 +71,11 @@ class DebiasConfig:
     adversary_hidden: int | None = None  # None: latent_dim
 
     def __post_init__(self):
+        for name in ("latent_dim", "epochs", "adversary_steps", "batch_size",
+                     "encoder_hidden", "adversary_hidden"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
         if self.adversary_weight < 0:
@@ -109,57 +116,40 @@ class DebiasModel:
     config: DebiasConfig
 
 
-@dataclass(frozen=True)
-class _Layout:
-    """Where the numeric columns and one-hot groups sit inside the design matrix."""
+def _summed_loss(pred, target, blocks):
+    """Sum of mlcore losses over column blocks of `pred`; returns (loss, d loss/d pred).
 
-    numeric: tuple  # column indices
-    groups: tuple  # (start, stop) slices, one per one-hot group
-
-
-def _design_layout(column_map) -> _Layout:
-    numeric = []
-    groups = []
-    j = 0
-    while j < len(column_map):
-        if column_map[j].category is None:
-            numeric.append(j)
-            j += 1
-            continue
-        start = j
-        source = column_map[j].source
-        while j < len(column_map) and column_map[j].source == source:
-            j += 1
-        groups.append((start, j))
-    return _Layout(tuple(numeric), tuple(groups))
-
-
-def _reconstruction_loss(pred, x, layout: _Layout):
-    """Squared error on numeric columns + per-group softmax cross-entropy.
-
-    `pred` holds raw decoder outputs: reconstructed standardized values for
-    numeric columns, logits for one-hot groups. Returns (loss, d loss/d pred).
+    Each block is (columns, loss_fn): a column index list or slice, and
+    `squared_error` or `softmax_cross_entropy` applied to those columns.
     """
-    n = x.shape[0]
     grad = np.zeros_like(pred)
     loss = 0.0
-    if layout.numeric:
-        cols = list(layout.numeric)
-        diff = pred[:, cols] - x[:, cols]
-        loss += float(np.sum(diff * diff) / n)
-        grad[:, cols] = 2.0 * diff / n
-    for start, stop in layout.groups:
-        logits = pred[:, start:stop]
-        onehot = x[:, start:stop]
-        loss += float(np.sum(log_sum_exp(logits) - np.sum(logits * onehot, axis=1)) / n)
-        grad[:, start:stop] = (softmax(logits) - onehot) / n
+    for cols, loss_fn in blocks:
+        block_loss, grad[:, cols] = loss_fn(pred[:, cols], target[:, cols])
+        loss += block_loss
     return loss, grad
 
 
+def _reconstruction_blocks(column_map) -> tuple:
+    """Squared error on all numeric design columns, softmax cross-entropy per one-hot group.
+
+    `pred` holds raw decoder outputs: reconstructed standardized values for
+    numeric columns, logits for one-hot groups.
+    """
+    numeric = [j for j, c in enumerate(column_map) if c.category is None]
+    blocks = [(numeric, squared_error)] if numeric else []
+    for _, group in groupby(range(len(column_map)), key=lambda j: column_map[j].source):
+        js = list(group)
+        if column_map[js[0]].category is not None:
+            blocks.append((slice(js[0], js[-1] + 1), softmax_cross_entropy))
+    return tuple(blocks)
+
+
 def _protected_targets(table: DataTable, names) -> tuple:
-    """One-hot adversary targets, one block per protected column, concatenated."""
+    """One-hot adversary targets, one block per protected column, concatenated,
+    and the loss blocks that put one softmax head on each."""
     blocks = []
-    slices = []
+    heads = []
     start = 0
     for name in names:
         spec = table.spec(name)
@@ -173,22 +163,9 @@ def _protected_targets(table: DataTable, names) -> tuple:
         block = np.zeros((len(col), len(cats)))
         block[np.arange(len(col)), idx] = 1.0
         blocks.append(block)
-        slices.append((start, start + len(cats)))
+        heads.append((slice(start, start + len(cats)), softmax_cross_entropy))
         start += len(cats)
-    return np.hstack(blocks), tuple(slices)
-
-
-def _adversary_loss(logits, targets, slices):
-    """Concatenated cross-entropy: one softmax head per protected column."""
-    n = logits.shape[0]
-    grad = np.zeros_like(logits)
-    loss = 0.0
-    for start, stop in slices:
-        z = logits[:, start:stop]
-        y = targets[:, start:stop]
-        loss += float(np.sum(log_sum_exp(z) - np.sum(z * y, axis=1)) / n)
-        grad[:, start:stop] = (softmax(z) - y) / n
-    return loss, grad
+    return np.hstack(blocks), tuple(heads)
 
 
 def resolve_latent_dim(cfg: DebiasConfig, d: int) -> int:
@@ -217,7 +194,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
     n, d = X.shape
     if d == 0:
         raise SchemaError("no feature columns to debias")
-    targets, slices = _protected_targets(table, names)
+    targets, adv_blocks = _protected_targets(table, names)
 
     latent = resolve_latent_dim(cfg, d)
     if latent >= d:
@@ -236,7 +213,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
         [latent, adv_hidden, n_classes], "tanh", "identity", derive_rng(cfg.seed, "adversary")
     )
     st_enc, st_dec, st_adv = adam_init(encoder), adam_init(decoder), adam_init(adversary)
-    layout = _design_layout(mat.column_map)
+    recon_blocks = _reconstruction_blocks(mat.column_map)
     shuffler = derive_rng(cfg.seed, "batches")
     lam = cfg.adversary_weight
 
@@ -254,16 +231,16 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
             for _ in range(cfg.adversary_steps):
                 _, z = mlp_forward(encoder, Xb)
                 cache_a, logits = mlp_forward(adversary, z)
-                _, g_adv = _adversary_loss(logits, Yb, slices)
+                _, g_adv = _summed_loss(logits, Yb, adv_blocks)
                 grads_a, _ = mlp_backward(adversary, cache_a, g_adv)
                 adam_step(adversary, grads_a, st_adv, cfg.learning_rate)
 
             cache_e, z = mlp_forward(encoder, Xb)
             cache_d, recon = mlp_forward(decoder, z)
-            loss_r, g_r = _reconstruction_loss(recon, Xb, layout)
+            loss_r, g_r = _summed_loss(recon, Xb, recon_blocks)
             grads_d, dz_recon = mlp_backward(decoder, cache_d, g_r)
             cache_a, logits = mlp_forward(adversary, z)
-            loss_a, g_adv = _adversary_loss(logits, Yb, slices)
+            loss_a, g_adv = _summed_loss(logits, Yb, adv_blocks)
             _, dz_adv = mlp_backward(adversary, cache_a, g_adv)  # adversary params frozen here
             grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
             adam_step(decoder, grads_d, st_dec, cfg.learning_rate)
@@ -341,32 +318,9 @@ def leakage_probe(table: DataTable, protected: str, seed: int, probe_cfg: TrainC
     if probe_cfg is None:
         probe_cfg = TrainConfig(learning_rate=0.1, epochs=500, l2=1e-4, seed=seed)
 
-    # relabel the protected column as the split target so the 70/30 split stratifies on it
-    relabeled = DataTable(
-        [
-            ColumnSpec(
-                s.name,
-                s.kind,
-                "target" if s.name == protected else ("feature" if s.role == "target" else s.role),
-                s.categories if s.kind == "categorical" else (),
-            )
-            for s in table.schema
-        ],
-        dict(table.columns),
-    )
-    train_idx, test_idx = split_indices(relabeled, 0.3, derive_rng(seed, "probe").integers(2**31))
-
-    feature_specs = [
-        s for s in table.schema if s.role == "feature"
-    ]
-    probe_table = DataTable(
-        [ColumnSpec(s.name, s.kind, "feature", s.categories if s.kind == "categorical" else ())
-         for s in feature_specs],
-        {s.name: table.columns[s.name] for s in feature_specs},
-    )
-    train_tab = probe_table.take_rows(train_idx)
-    fitted = encode(train_tab, fit_scaler=True)
-    X_all = apply_encoding(probe_table, fitted.column_map, fitted.scaler).values
+    split_seed = derive_rng(seed, "probe").integers(2**31)
+    train_idx, test_idx = split_indices_on(table, protected, 0.3, split_seed)
+    X_all = encode_features(table, train_idx)
     X_train, X_test = X_all[train_idx], X_all[test_idx]
 
     aucs = []
@@ -420,17 +374,7 @@ def save_debias_model(model: DebiasModel, path) -> None:
             "decoder": _net_jsonable(model.decoder),
             "adversary": _net_jsonable(model.adversary),
             "protected": list(model.protected_names),
-            "config": {
-                "latent_dim": model.config.latent_dim,
-                "adversary_weight": model.config.adversary_weight,
-                "epochs": model.config.epochs,
-                "adversary_steps": model.config.adversary_steps,
-                "learning_rate": model.config.learning_rate,
-                "batch_size": model.config.batch_size,
-                "seed": model.config.seed,
-                "encoder_hidden": model.config.encoder_hidden,
-                "adversary_hidden": model.config.adversary_hidden,
-            },
+            "config": asdict(model.config),
         },
     )
 

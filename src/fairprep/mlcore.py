@@ -267,7 +267,6 @@ def adam_step(net: Mlp, param_grads, state: AdamState, lr: float,
 class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 500
-    batch_size: int = 0  # 0 = full batch (the only mode the fitters use)
     l2: float = 1e-4
     seed: int = 0
 

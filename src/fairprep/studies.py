@@ -11,7 +11,7 @@ import hashlib
 import json
 import statistics
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -19,19 +19,17 @@ import numpy as np
 from . import audit as audit_mod
 from . import mlcore
 from .debias import DebiasConfig, train_debiaser, transform
-from .ioutil import canonical_json, to_jsonable, write_json, atomic_write_text
+from .ioutil import canonical_json, to_jsonable, write_json
 from .mlcore import TrainConfig
 from .tabular import (
-    ColumnSpec,
     DataError,
     DataTable,
     SchemaError,
-    apply_encoding,
     binarize_threshold,
     bucket_numeric,
     drop_columns,
     drop_sparse_columns,
-    encode,
+    encode_features,
     filter_rows,
     load_csv,
     load_schema,
@@ -40,6 +38,27 @@ from .tabular import (
 )
 
 MODEL_KINDS = ("logistic", "linear", "ridge")
+
+# the keys a study config may carry; anything else is a typo and fails the load
+STUDY_KEYS = frozenset({
+    "name", "source", "schema", "transforms", "protected", "target", "model", "debias",
+    "seeds", "audit", "fit_debias_on", "test_fraction",
+})
+MODEL_KEYS = frozenset({"kind", "learning_rate", "epochs", "l2", "ridge_lambda"})
+AUDIT_KEYS = frozenset({"on", "groups", "group_labels", "stratum_labels", "bins", "range"})
+# every DebiasConfig field except the seed, which comes from the study's seed list
+DEBIAS_KEYS = frozenset(f.name for f in fields(DebiasConfig)) - {"seed"}
+FIT_DEBIAS_ON = ("full", "train")
+AUDIT_ON = ("all", "test")
+
+
+def _check_block(block, allowed, where: str) -> dict:
+    if not isinstance(block, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise SchemaError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+    return block
 
 
 def _apply_transform(table: DataTable, step: dict) -> DataTable:
@@ -93,22 +112,35 @@ class StudyConfig:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         base = path.parent
-        schema = load_schema(base / data["schema"])
-        model = data["model"]
+        _check_block(data, STUDY_KEYS, path.name)
+        model = _check_block(data["model"], MODEL_KEYS, f"{path.name}: model")
         if model.get("kind") not in MODEL_KINDS:
             raise SchemaError(f"model kind must be one of {MODEL_KINDS}")
+        debias = _check_block(data.get("debias", {}), DEBIAS_KEYS, f"{path.name}: debias")
+        try:
+            DebiasConfig(**debias)
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path.name}: debias: {exc}") from None
+        audit = _check_block(data.get("audit", {}), AUDIT_KEYS, f"{path.name}: audit")
+        if audit.get("on", "all") not in AUDIT_ON:
+            raise SchemaError(f"{path.name}: audit.on {audit['on']!r} is not one of {AUDIT_ON}")
+        fit_debias_on = data.get("fit_debias_on", "full")
+        if fit_debias_on not in FIT_DEBIAS_ON:
+            raise SchemaError(
+                f"{path.name}: fit_debias_on {fit_debias_on!r} is not one of {FIT_DEBIAS_ON}"
+            )
         return cls(
             name=data["name"],
             source=data.get("source", {}),
-            schema=schema,
+            schema=load_schema(base / data["schema"]),
             transforms=data.get("transforms", []),
             protected=data["protected"],
             target=data["target"],
             model=model,
-            debias=data.get("debias", {}),
+            debias=debias,
             seeds=list(data.get("seeds", [0, 1, 2, 3, 4])),
-            audit=data.get("audit", {}),
-            fit_debias_on=data.get("fit_debias_on", "full"),
+            audit=audit,
+            fit_debias_on=fit_debias_on,
             test_fraction=float(data.get("test_fraction", 0.3)),
             base_dir=base,
             raw=data,
@@ -177,15 +209,6 @@ def prepare_table(cfg: StudyConfig, table: DataTable) -> DataTable:
     return table
 
 
-def _feature_table(table: DataTable) -> DataTable:
-    specs = [s for s in table.schema if s.role == "feature"]
-    return DataTable(
-        [ColumnSpec(s.name, s.kind, "feature", s.categories if s.kind == "categorical" else ())
-         for s in specs],
-        {s.name: table.columns[s.name] for s in specs},
-    )
-
-
 def _fit_model(cfg: StudyConfig, X_train, y_train, seed: int):
     kind = cfg.model["kind"]
     if kind == "logistic":
@@ -203,9 +226,7 @@ def _fit_model(cfg: StudyConfig, X_train, y_train, seed: int):
 def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.AuditReport:
     """The downstream pipeline shared verbatim by pre- and post-debias runs."""
     train_idx, test_idx = split_indices(table, cfg.test_fraction, seed)
-    feat = _feature_table(table)
-    fitted = encode(feat.take_rows(train_idx), fit_scaler=True)
-    X = apply_encoding(feat, fitted.column_map, fitted.scaler).values
+    X = encode_features(table, train_idx)
     y = np.array([float(v) for v in table.column(cfg.target)])
     model = _fit_model(cfg, X[train_idx], y[train_idx], seed)
     estimates = mlcore.predict(model, X)
@@ -352,7 +373,5 @@ def write_study_outputs(result: StudyResult, out_dir) -> None:
     write_json(out_dir / f"{result.study}_result.json", result.to_jsonable())
     for run in result.runs:
         prefix = out_dir / f"{result.study}_seed{run.seed}"
-        atomic_write_text(f"{prefix}_pre_bias.csv", audit_mod.bias_table_csv(run.pre.bias_table))
-        atomic_write_text(f"{prefix}_post_bias.csv", audit_mod.bias_table_csv(run.post.bias_table))
-        atomic_write_text(f"{prefix}_pre_hist.csv", audit_mod.histograms_csv(run.pre))
-        atomic_write_text(f"{prefix}_post_hist.csv", audit_mod.histograms_csv(run.post))
+        audit_mod.write_report_csvs(run.pre, f"{prefix}_pre")
+        audit_mod.write_report_csvs(run.post, f"{prefix}_post")

@@ -18,7 +18,7 @@ import numpy as np
 from . import mlcore
 from .debias import DebiasConfig, leakage_probe, train_debiaser, transform
 from .mlcore import TrainConfig, derive_rng, sigmoid
-from .tabular import ColumnSpec, DataError, DataTable, apply_encoding, encode, split_indices
+from .tabular import ColumnSpec, DataError, DataTable, encode_features, split_indices
 from . import audit as audit_mod
 
 PROTECTED_COLUMN = "group"
@@ -96,14 +96,7 @@ def _fit_and_score(table: DataTable, fair_labels, seed: int, model_cfg: TrainCon
     split) and the stratified bias table of estimates over all rows.
     """
     train_idx, test_idx = split_indices(table, 0.3, seed)
-    feature_specs = [s for s in table.schema if s.role == "feature"]
-    feat_table = DataTable(
-        [ColumnSpec(s.name, s.kind, "feature", s.categories if s.kind == "categorical" else ())
-         for s in feature_specs],
-        {s.name: table.columns[s.name] for s in feature_specs},
-    )
-    fitted = encode(feat_table.take_rows(train_idx), fit_scaler=True)
-    X = apply_encoding(feat_table, fitted.column_map, fitted.scaler).values
+    X = encode_features(table, train_idx)
     y = np.array(table.column(TARGET_COLUMN), dtype=float)
     model = mlcore.fit_logistic(X[train_idx], y[train_idx], model_cfg)
     estimates = mlcore.predict(model, X)

@@ -369,36 +369,41 @@ def drop_sparse_columns(table: DataTable, k: int) -> DataTable:
 
 
 def split_indices(table: DataTable, test_fraction: float, seed: int):
-    """Deterministic (seeded) train/test row indices, stratified on the target column.
+    """Deterministic (seeded) train/test row indices, stratified on the target column."""
+    targets = table.specs_with_role("target")
+    if len(targets) != 1:
+        raise SchemaError(f"expected exactly one target column, found {len(targets)}")
+    return split_indices_on(table, targets[0].name, test_fraction, seed)
 
-    Categorical/binary targets are split class by class; numeric targets get a
+
+def split_indices_on(table: DataTable, column: str, test_fraction: float, seed: int):
+    """Deterministic (seeded) train/test row indices, stratified on `column`.
+
+    Categorical/binary columns are split class by class; numeric columns get a
     plain shuffled split. Returns sorted (train_indices, test_indices).
     """
     if not 0.0 < test_fraction < 1.0:
         raise SchemaError(f"test_fraction must be in (0,1), got {test_fraction}")
     if table.n_rows < 10:
         raise DataError(f"need >= 10 rows to split, have {table.n_rows}")
-    targets = table.specs_with_role("target")
-    if len(targets) != 1:
-        raise SchemaError(f"expected exactly one target column, found {len(targets)}")
-    target = targets[0]
+    spec = table.spec(column)
     rng = derive_rng(seed, "train-test-split")
-    values = table.column(target.name)
+    values = table.column(column)
     test = []
-    if target.kind in ("categorical", "binary"):
-        for cat in target.categories:
+    if spec.kind in ("categorical", "binary"):
+        for cat in spec.categories:
             idx = [i for i, v in enumerate(values) if v == cat]
             if not idx:
                 continue
             if len(idx) < 2:
-                raise DataError(f"target class {cat!r} has fewer than 2 rows")
+                raise DataError(f"column {column!r}: class {cat!r} has fewer than 2 rows")
             perm = rng.permutation(len(idx))
             n_test = int(round(test_fraction * len(idx)))
             n_test = min(max(n_test, 1), len(idx) - 1)
             test.extend(idx[j] for j in perm[:n_test])
     else:
         if any(v is None for v in values):
-            raise DataError("numeric target has missing cells")
+            raise DataError(f"numeric column {column!r} has missing cells")
         perm = rng.permutation(table.n_rows)
         n_test = int(round(test_fraction * table.n_rows))
         n_test = min(max(n_test, 1), table.n_rows - 1)
@@ -553,6 +558,16 @@ def apply_encoding(table: DataTable, column_map, scaler) -> DesignMatrix:
     values = _fill_values(table, tuple(column_map), tuple(scaler))
     protected, target = _carried(table)
     return DesignMatrix(values, tuple(column_map), tuple(scaler), list(table.schema), protected, target)
+
+
+def encode_features(table: DataTable, train_idx) -> np.ndarray:
+    """Design matrix of the role=feature columns for every row of `table`.
+
+    The encoding (one-hot vocabularies and standardization) is fitted on the
+    `train_idx` rows only, so test rows never inform it.
+    """
+    fitted = encode(table.take_rows(train_idx), fit_scaler=True)
+    return apply_encoding(table, fitted.column_map, fitted.scaler).values
 
 
 def decode(matrix: DesignMatrix) -> DataTable:

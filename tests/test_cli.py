@@ -120,7 +120,7 @@ def test_audit_command_identical_groups_scores_zero(tmp_path, capsys):
     assert "0.0000" in capsys.readouterr().out
 
 
-def test_audit_exit_codes(tmp_path):
+def test_audit_exit_codes(tmp_path, capsys):
     assert _run(["audit", "--estimates", tmp_path / "missing.csv", "--groups", "g"]) == 2
     bad = tmp_path / "bad.csv"
     bad.write_text("estimate,g\nnot-a-number,a\n")
@@ -128,14 +128,31 @@ def test_audit_exit_codes(tmp_path):
     wrongcol = tmp_path / "wrong.csv"
     wrongcol.write_text("value,g\n0.5,a\n")
     assert _run(["audit", "--estimates", wrongcol, "--groups", "g"]) == 2
+    for token in ("nan", "inf"):
+        nonfinite = tmp_path / f"{token}.csv"
+        nonfinite.write_text(f"estimate,g\n0.5,a\n{token},b\n0.4,b\n")
+        capsys.readouterr()
+        assert _run(["audit", "--estimates", nonfinite, "--groups", "g"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "row 1" in err
 
 
-def test_usage_errors_exit_one(tmp_path, capsys):
+def test_usage_errors_exit_one(tmp_path, capsys, small_csv):
     assert _run(["audit", "--estimates"]) == 1
     assert _run(["nonsense-command"]) == 1
     est = tmp_path / "est.csv"
     est.write_text("estimate,g\n0.5,a\n0.6,b\n")
     assert _run(["audit", "--estimates", est, "--groups", "g", "--group-pair", "onlyone"]) == 1
+    csv_path, schema_path = small_csv
+    for flag, value in (("--epochs", 0), ("--adversary-steps", 0), ("--latent", 0),
+                        ("--lambda", -1)):
+        capsys.readouterr()
+        assert _run(["debias", "--input", csv_path, "--schema", schema_path,
+                     "--protected", "grp", "--output", tmp_path / "out.csv",
+                     flag, value]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_run_study_command_and_rerun_idempotence(tmp_path):
@@ -217,10 +234,13 @@ def test_debias_divergence_exits_three_with_partial_report(tmp_path, small_csv, 
 
 def test_debias_passes_drop_columns_through(tmp_path):
     out = tmp_path / "compas_debiased.csv"
+    report = tmp_path / "report.json"
     assert _run([
         "debias", "--input", DATA / "compas.csv", "--schema", DATA / "compas.schema.json",
-        "--protected", "race", "--output", out, "--epochs", 5, "--seed", 0,
+        "--protected", "race", "--output", out, "--report", report, "--epochs", 5, "--seed", 0,
     ]) == 0
+    probe = json.loads(report.read_text())["leakage_probe_auc"]["race"]
+    assert 0.0 <= probe["pre"] <= 1.0 and 0.0 <= probe["post"] <= 1.0
     with open(DATA / "compas.csv") as fh:
         orig = list(csv.reader(fh))
     with open(out) as fh:
@@ -228,3 +248,30 @@ def test_debias_passes_drop_columns_through(tmp_path):
     assert rewritten[0] == orig[0]
     idc = orig[0].index("id")
     assert [r[idc] for r in rewritten[1:]] == [r[idc] for r in orig[1:]]
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda c: c.update(extra_key=1), "extra_key"),
+    (lambda c: c["model"].update(learnin_rate=0.1), "learnin_rate"),
+    (lambda c: c["debias"].update(epochz=10), "epochz"),
+    (lambda c: c["debias"].update(seed=3), "seed"),
+    (lambda c: c["debias"].update(epochs=0), "epochs"),
+    (lambda c: c["debias"].update(epochs=1.5), "epochs"),
+    (lambda c: c["audit"].update(bins_=5), "bins_"),
+    (lambda c: c["audit"].update(on="alll"), "alll"),
+    (lambda c: c.update(fit_debias_on="trian"), "trian"),
+], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
+        "audit-key", "audit-on", "fit-debias-on"])
+def test_run_study_config_typo_exits_two(tmp_path, capsys, edit, named):
+    config = json.loads((STUDIES / "heart.json").read_text())
+    edit(config)
+    # absolute paths, so the edited copy still finds the schema and the bundled data
+    config["schema"] = str((STUDIES / config["schema"]).resolve())
+    config["source"]["bundled"] = str((STUDIES / config["source"]["bundled"]).resolve())
+    bad = tmp_path / "heart.json"
+    bad.write_text(json.dumps(config))
+    assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()

@@ -244,3 +244,41 @@ def test_train_divergence_carries_partial_trace():
     assert err.value.epoch < 30
     assert err.value.trace is not None
     assert len(err.value.trace) == err.value.epoch + 1
+
+
+def test_reconstruction_loss_matches_finite_differences():
+    from fairprep.debias import _reconstruction_blocks, _summed_loss
+
+    schema = [
+        ColumnSpec("a", "numeric", "feature"),
+        ColumnSpec("c", "categorical", "feature", ("r", "s", "t")),
+        ColumnSpec("b", "numeric", "feature"),
+        ColumnSpec("f", "binary", "feature"),
+        ColumnSpec("g", "binary", "protected"),
+    ]
+    table = DataTable(
+        schema,
+        {
+            "a": [0.5, -1.0, 2.0, 0.0, 1.5],
+            "c": ["r", "t", "s", "r", "t"],
+            "b": [3.0, 1.0, -2.0, 0.5, 0.0],
+            "f": [0, 1, 1, 0, 1],
+            "g": [0, 1, 0, 1, 0],
+        },
+    )
+    mat = encode(table)
+    blocks = _reconstruction_blocks(mat.column_map)
+    # numeric columns sit on both sides of a one-hot group
+    assert [loss_fn.__name__ for _, loss_fn in blocks] == [
+        "squared_error", "softmax_cross_entropy", "softmax_cross_entropy"]
+    x = mat.values
+    pred = derive_rng(0, "recon-fd").standard_normal(x.shape)
+    _, grad = _summed_loss(pred, x, blocks)
+    step = 1e-6
+    numeric = np.zeros_like(pred)
+    for idx in np.ndindex(pred.shape):
+        hi, lo = pred.copy(), pred.copy()
+        hi[idx] += step
+        lo[idx] -= step
+        numeric[idx] = (_summed_loss(hi, x, blocks)[0] - _summed_loss(lo, x, blocks)[0]) / (2 * step)
+    assert np.max(np.abs(grad - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(numeric)))

@@ -17,6 +17,7 @@ from fairprep.tabular import (
     drop_columns,
     drop_sparse_columns,
     encode,
+    encode_features,
     filter_rows,
     load_csv,
     load_schema,
@@ -24,6 +25,7 @@ from fairprep.tabular import (
     quartile_binarize,
     save_schema,
     split_indices,
+    split_indices_on,
     train_test_split,
     write_csv,
 )
@@ -431,3 +433,52 @@ def test_split_numeric_target_plain_shuffle():
     )
     train, test = train_test_split(t, 0.25, seed=3)
     assert train.n_rows == 15 and test.n_rows == 5
+
+
+def test_split_on_named_column_matches_relabelled_target():
+    rng = np.random.default_rng(5)
+    n = 90
+    schema = [
+        ColumnSpec("x", "numeric", "feature"),
+        ColumnSpec("grp", "categorical", "protected", ("p", "q", "r")),
+        ColumnSpec("y", "binary", "target"),
+    ]
+    columns = {
+        "x": [float(v) for v in rng.standard_normal(n)],
+        "grp": list(rng.choice(["p", "q", "r"], size=n)),
+        "y": [int(v) for v in rng.random(n) < 0.3],
+    }
+    table = DataTable(schema, columns)
+    # the same table with the protected column promoted to the (only) target
+    relabelled = DataTable(
+        [schema[0], ColumnSpec("grp", "categorical", "target", ("p", "q", "r")),
+         ColumnSpec("y", "binary", "feature")],
+        columns,
+    )
+    for seed in (0, 7, 123456789):
+        assert split_indices_on(table, "grp", 0.3, seed) == split_indices(relabelled, 0.3, seed)
+    # and split_indices is the named split on the target
+    assert split_indices(table, 0.3, 3) == split_indices_on(table, "y", 0.3, 3)
+
+
+def test_encode_features_fits_on_train_rows_only():
+    schema = [
+        ColumnSpec("x", "numeric", "feature"),
+        ColumnSpec("c", "categorical", "feature", ("u", "v")),
+        ColumnSpec("g", "binary", "protected"),
+        ColumnSpec("y", "binary", "target"),
+    ]
+    table = DataTable(
+        schema,
+        {
+            "x": [1.0, 3.0, 100.0, -50.0],
+            "c": ["u", "v", "u", "v"],
+            "g": [0, 1, 0, 1],
+            "y": [1, 0, 0, 1],
+        },
+    )
+    X = encode_features(table, [0, 1])
+    # train rows x = 1, 3: mean 2, population std 1; protected/target are not encoded
+    assert X.shape == (4, 3)
+    assert X[:, 0].tolist() == [-1.0, 1.0, 98.0, -52.0]
+    assert X[:, 1:].tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
