@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of every output file of a fixed set of runs.
+
+The runs use the checkout this script sits in:
+
+- `run_study` on all five bundled studies, seeds [0, 1]: the result JSON and
+  every bias/histogram CSV;
+- `synth_check(SyntheticSpec(n=2000, seed=3))`, written as its report JSON;
+- `fairprep debias` with `--report`, `--model-out` and `--trace-csv` on a
+  generated 300-row CSV that has a 3-category protected column, a drop-role
+  `id` column and one missing numeric cell;
+- `fairprep audit --report` on a generated 400-row estimates file;
+- `scripts/make_bundled_data.py`, run in a copy of the checkout: every file
+  it writes under `data/`.
+
+One `sha256  path` line is printed per file, sorted by path. To compare two
+checkouts, run each one's copy of this script and `diff` the two outputs:
+
+    python3 scripts/output_digests.py > after.txt
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import warnings
+from contextlib import redirect_stdout
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from fairprep.cli import main as cli_main  # noqa: E402
+from fairprep.ioutil import write_json  # noqa: E402
+from fairprep.studies import StudyConfig, run_study  # noqa: E402
+from fairprep.synth import SyntheticSpec, synth_check  # noqa: E402
+
+STUDY_NAMES = ["compas", "absenteeism", "heart", "passnyc", "communities"]
+CLI_SCHEMA = [
+    {"name": "id", "kind": "numeric", "role": "drop"},
+    {"name": "x1", "kind": "numeric"},
+    {"name": "x2", "kind": "numeric"},
+    {"name": "color", "kind": "categorical", "categories": ["red", "green", "blue"]},
+    {"name": "flag", "kind": "binary"},
+    {"name": "grp", "kind": "categorical", "categories": ["p", "q", "r"]},
+    {"name": "y", "kind": "binary", "role": "target"},
+]
+
+
+def _write_cli_inputs(work: Path) -> None:
+    """The debias input (fixed arithmetic, no RNG) and a small estimates file."""
+    rows = ["id,x1,x2,color,flag,grp,y"]
+    for i in range(300):
+        g = i % 3
+        x1 = "" if i == 17 else f"{(i * 37 % 101) / 10 + 2.5 * g:.3f}"
+        x2 = f"{(i * 53 % 97) / 25 - 1.5:.3f}"
+        color = ("red", "green", "blue")[(i // 3 + g) % 3]
+        rows.append(f"{i + 1},{x1},{x2},{color},{(i // 7) % 2},{'pqr'[g]},{(i * 11 % 13) % 2}")
+    (work / "people.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    write_json(work / "people.schema.json", CLI_SCHEMA)
+    rows = ["estimate,group,stratum"]
+    for i in range(400):
+        rows.append(f"{((i * 29) % 100 + 0.5) / 101:.6f},{'ab'[i % 2]},s{(i // 5) % 2}")
+    (work / "estimates.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def run_all(out: Path) -> None:
+    for name in STUDY_NAMES:
+        # relative, so the dataset path recorded in each result is the same in every checkout
+        cfg = StudyConfig.from_json(Path("studies") / f"{name}.json")
+        run_study(cfg, out_dir=out / "studies", seeds=[0, 1])
+    write_json(out / "synth_n2000_seed3.json", synth_check(SyntheticSpec(n=2000, seed=3)).to_jsonable())
+
+    cli = out / "cli"
+    cli.mkdir()
+    _write_cli_inputs(cli)
+    debias = ["debias", "--input", cli / "people.csv", "--schema", cli / "people.schema.json",
+              "--protected", "grp", "--output", cli / "debiased.csv", "--report", cli / "report.json",
+              "--model-out", cli / "model.json", "--trace-csv", cli / "trace.csv",
+              "--epochs", "40", "--seed", "2"]
+    audit = ["audit", "--estimates", cli / "estimates.csv", "--groups", "group",
+             "--strata", "stratum", "--group-pair", "a,b", "--report", cli / "audit.json"]
+    for argv in (debias, audit):
+        with redirect_stdout(io.StringIO()):
+            code = cli_main([str(a) for a in argv])
+        if code != 0:
+            raise SystemExit(f"fairprep {argv[0]} exited {code}")
+
+    copy = out / "checkout"
+    shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "scripts").mkdir()
+    shutil.copy(ROOT / "scripts" / "make_bundled_data.py", copy / "scripts")
+    subprocess.run([sys.executable, str(copy / "scripts" / "make_bundled_data.py")],
+                   check=True, stdout=subprocess.DEVNULL)
+    shutil.rmtree(copy / "src")
+    shutil.rmtree(copy / "scripts")
+
+
+def main() -> int:
+    os.chdir(ROOT)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            run_all(out)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest = hashlib.sha256(path.read_bytes()).hexdigest()
+            print(f"{digest}  {path.relative_to(out).as_posix()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

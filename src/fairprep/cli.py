@@ -165,10 +165,9 @@ def _cmd_debias(args) -> int:
     debiased = transform(model, table)
     output = debiased
     if carried:
-        output = DataTable(
-            list(full_table.schema),
-            {s.name: (full_table.columns[s.name] if s.name in carried
-                      else debiased.columns[s.name])
+        output = DataTable.from_arrays(
+            full_table.schema,
+            {s.name: (full_table if s.name in carried else debiased).array(s.name)
              for s in full_table.schema},
         )
     write_csv(output, args.output)

@@ -152,19 +152,17 @@ def _protected_targets(table: DataTable, names) -> tuple:
     heads = []
     start = 0
     for name in names:
-        spec = table.spec(name)
-        cats = list(spec.categories)
-        col = table.column(name)
-        if any(v is None for v in col):
+        n_cats = len(table.spec(name).categories)
+        codes = table.array(name)
+        if table.missing(name).any():
             raise DataError(f"protected column {name!r} has missing cells")
-        idx = [cats.index(v) for v in col]
-        if len(set(idx)) < 2:
+        if np.unique(codes).size < 2:
             raise DataError(f"protected column {name!r} is constant; nothing to debias")
-        block = np.zeros((len(col), len(cats)))
-        block[np.arange(len(col)), idx] = 1.0
+        block = np.zeros((len(codes), n_cats))
+        block[np.arange(len(codes)), codes] = 1.0
         blocks.append(block)
-        heads.append((slice(start, start + len(cats)), softmax_cross_entropy))
-        start += len(cats)
+        heads.append((slice(start, start + n_cats), softmax_cross_entropy))
+        start += n_cats
     return np.hstack(blocks), tuple(heads)
 
 
@@ -189,7 +187,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
             raise SchemaError(f"protected column {s.name!r} must be categorical or binary")
     names = [s.name for s in protected_specs]
 
-    mat = encode(table, fit_scaler=True)
+    mat = encode(table)
     X = mat.values
     n, d = X.shape
     if d == 0:
@@ -290,15 +288,7 @@ def transform(model: DebiasModel, table: DataTable) -> DataTable:
     mat = apply_encoding(table, model.column_map, model.scaler)
     _, z = mlp_forward(model.encoder, mat.values)
     _, recon = mlp_forward(model.decoder, z)
-    out = DesignMatrix(
-        values=recon,
-        column_map=model.column_map,
-        scaler=model.scaler,
-        schema=list(table.schema),
-        protected=mat.protected,
-        target=mat.target,
-    )
-    return decode(out)
+    return decode(DesignMatrix(recon, model.column_map, model.scaler, list(table.schema), mat.carried))
 
 
 def leakage_probe(table: DataTable, protected: str, seed: int, probe_cfg: TrainConfig | None = None) -> float:
@@ -311,9 +301,9 @@ def leakage_probe(table: DataTable, protected: str, seed: int, probe_cfg: TrainC
     spec = table.spec(protected)
     if spec.kind == "numeric":
         raise SchemaError(f"protected column {protected!r} must be categorical or binary")
-    col = table.column(protected)
-    present = [c for c in spec.categories if c in set(col)]
-    if len(present) < 2:
+    codes = table.array(protected)
+    present = np.unique(codes[codes >= 0])
+    if present.size < 2:
         raise DataError(f"protected column {protected!r} is single-class")
     if probe_cfg is None:
         probe_cfg = TrainConfig(learning_rate=0.1, epochs=500, l2=1e-4, seed=seed)
@@ -324,12 +314,12 @@ def leakage_probe(table: DataTable, protected: str, seed: int, probe_cfg: TrainC
     X_train, X_test = X_all[train_idx], X_all[test_idx]
 
     aucs = []
-    pairs = present if len(present) > 2 else present[1:]
+    pairs = present if present.size > 2 else present[1:]
     for positive in pairs:
-        y = np.array([1.0 if v == positive else 0.0 for v in col])
+        y = (codes == positive).astype(float)
         y_train, y_test = y[train_idx], y[test_idx]
-        if len(set(y_train)) < 2 or len(set(y_test)) < 2:
-            raise DataError(f"probe split left a single class for category {positive!r}")
+        if np.unique(y_train).size < 2 or np.unique(y_test).size < 2:
+            raise DataError(f"probe split left a single class for category {spec.categories[positive]!r}")
         probe = mlcore.fit_logistic(X_train, y_train, probe_cfg)
         aucs.append(mlcore.auc(mlcore.predict(probe, X_test), y_test))
     return float(np.mean(aucs))

@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -74,11 +75,6 @@ def softmax(z):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_sum_exp(z):
-    m = z.max(axis=1, keepdims=True)
-    return (m + np.log(np.exp(z - m).sum(axis=1, keepdims=True)))[:, 0]
-
-
 def squared_error(pred, target):
     """Mean-over-rows squared error; returns (loss, gradient w.r.t. pred)."""
     pred = np.asarray(pred, dtype=float)
@@ -107,15 +103,18 @@ def binary_cross_entropy(probs, y):
 def softmax_cross_entropy(logits, onehot):
     """Fused softmax + cross-entropy on logits (log-sum-exp form).
 
-    Returns (loss, gradient w.r.t. logits); pair with an identity-output
+    The row max and the exponentials are computed once and shared by the loss
+    and the gradient. Returns (loss, gradient w.r.t. logits); pair with an identity-output
     network instead of an explicit softmax output.
     """
     logits = np.asarray(logits, dtype=float)
     onehot = np.asarray(onehot, dtype=float)
     n = logits.shape[0]
-    loss = float(np.sum(log_sum_exp(logits) - np.sum(logits * onehot, axis=1)) / n)
-    grad = (softmax(logits) - onehot) / n
-    return loss, grad
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    loss = float(np.sum((m + np.log(s))[:, 0] - np.sum(logits * onehot, axis=1)) / n)
+    return loss, (e / s - onehot) / n
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +270,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.epochs, Integral):
+            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:

@@ -116,6 +116,13 @@ class StudyConfig:
         model = _check_block(data["model"], MODEL_KEYS, f"{path.name}: model")
         if model.get("kind") not in MODEL_KINDS:
             raise SchemaError(f"model kind must be one of {MODEL_KINDS}")
+        try:
+            if model["kind"] == "logistic":
+                _train_config(model, seed=0)
+            elif not _is_nonnegative_number(model.get("ridge_lambda", 0.0)):
+                raise ValueError(f"ridge_lambda must be a number >= 0, got {model['ridge_lambda']!r}")
+        except (TypeError, ValueError) as exc:
+            raise SchemaError(f"{path.name}: model: {exc}") from None
         debias = _check_block(data.get("debias", {}), DEBIAS_KEYS, f"{path.name}: debias")
         try:
             DebiasConfig(**debias)
@@ -209,16 +216,23 @@ def prepare_table(cfg: StudyConfig, table: DataTable) -> DataTable:
     return table
 
 
+def _is_nonnegative_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+
+
+def _train_config(model: dict, seed: int) -> TrainConfig:
+    return TrainConfig(
+        learning_rate=model.get("learning_rate", 0.1),
+        epochs=model.get("epochs", 500),
+        l2=model.get("l2", 1e-4),
+        seed=seed,
+    )
+
+
 def _fit_model(cfg: StudyConfig, X_train, y_train, seed: int):
     kind = cfg.model["kind"]
     if kind == "logistic":
-        tc = TrainConfig(
-            learning_rate=cfg.model.get("learning_rate", 0.1),
-            epochs=cfg.model.get("epochs", 500),
-            l2=cfg.model.get("l2", 1e-4),
-            seed=seed,
-        )
-        return mlcore.fit_logistic(X_train, y_train, tc)
+        return mlcore.fit_logistic(X_train, y_train, _train_config(cfg.model, seed))
     lam = float(cfg.model.get("ridge_lambda", 1.0 if kind == "ridge" else 0.0))
     return mlcore.fit_linear(X_train, y_train, lam)
 
@@ -227,7 +241,9 @@ def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.Audi
     """The downstream pipeline shared verbatim by pre- and post-debias runs."""
     train_idx, test_idx = split_indices(table, cfg.test_fraction, seed)
     X = encode_features(table, train_idx)
-    y = np.array([float(v) for v in table.column(cfg.target)])
+    if table.missing(cfg.target).any():
+        raise DataError(f"target column {cfg.target!r} has missing cells")
+    y = table.array(cfg.target).astype(float)  # binary codes are the 0/1 labels
     model = _fit_model(cfg, X[train_idx], y[train_idx], seed)
     estimates = mlcore.predict(model, X)
 
@@ -247,13 +263,12 @@ def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.Audi
     audit_cfg = cfg.audit
     audit_on = audit_cfg.get("on", "all")
     rows = list(range(table.n_rows)) if audit_on == "all" else list(test_idx)
+    audited = table.take_rows(rows)
     group_labels = audit_cfg.get("group_labels", {})
     stratum_labels = audit_cfg.get("stratum_labels", {})
-    groups = [group_labels.get(str(v), v) for v in table.column(cfg.protected)]
-    groups = [groups[i] for i in rows]
+    groups = audited.map_cells(cfg.protected, lambda v: group_labels.get(str(v), v))
     if classification:
-        strata = [stratum_labels.get(str(v), str(v)) for v in table.column(cfg.target)]
-        strata = [strata[i] for i in rows]
+        strata = audited.map_cells(cfg.target, lambda v: stratum_labels.get(str(v), str(v)))
         true_values = None
     else:
         strata = ["all"] * len(rows)

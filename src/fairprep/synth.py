@@ -81,12 +81,11 @@ def make_synthetic(spec: SyntheticSpec):
     schema += [ColumnSpec(f"proxy{i + 1}", "numeric", "feature") for i in range(spec.n_proxies)]
     schema.append(ColumnSpec(PROTECTED_COLUMN, "binary", "protected"))
     schema.append(ColumnSpec(TARGET_COLUMN, "binary", "target"))
-    columns = {f"f{i + 1}": [float(v) for v in F[:, i]] for i in range(d)}
-    for i, p in enumerate(proxies):
-        columns[f"proxy{i + 1}"] = [float(v) for v in p]
-    columns[PROTECTED_COLUMN] = [int(v) for v in a]
-    columns[TARGET_COLUMN] = [int(v) for v in observed]
-    return DataTable(schema, columns), fair_labels
+    arrays = {f"f{i + 1}": F[:, i] for i in range(d)}
+    arrays.update({f"proxy{i + 1}": p for i, p in enumerate(proxies)})
+    # a binary column's codes are its 0/1 labels
+    arrays.update({PROTECTED_COLUMN: a, TARGET_COLUMN: observed})
+    return DataTable.from_arrays(schema, arrays), fair_labels
 
 
 def _fit_and_score(table: DataTable, fair_labels, seed: int, model_cfg: TrainConfig):
@@ -97,7 +96,7 @@ def _fit_and_score(table: DataTable, fair_labels, seed: int, model_cfg: TrainCon
     """
     train_idx, test_idx = split_indices(table, 0.3, seed)
     X = encode_features(table, train_idx)
-    y = np.array(table.column(TARGET_COLUMN), dtype=float)
+    y = table.array(TARGET_COLUMN).astype(float)  # binary codes are the 0/1 labels
     model = mlcore.fit_logistic(X[train_idx], y[train_idx], model_cfg)
     estimates = mlcore.predict(model, X)
 
@@ -105,8 +104,8 @@ def _fit_and_score(table: DataTable, fair_labels, seed: int, model_cfg: TrainCon
     fair_acc = mlcore.accuracy(estimates[test_idx], np.asarray(fair_labels)[test_idx])
     report = audit_mod.audit(
         estimates,
-        groups=table.column(PROTECTED_COLUMN),
-        strata=table.column(TARGET_COLUMN),
+        groups=table.array(PROTECTED_COLUMN).tolist(),
+        strata=table.array(TARGET_COLUMN).tolist(),
         group_pair=(0, 1),
     )
     return observed_acc, fair_acc, report.bias_table.scores()

@@ -1,10 +1,12 @@
 """Schema-tagged tabular data and the dataset-preparation transforms.
 
-A DataTable couples a column schema (name, kind, role, categories) with
-columnar cell storage. All transforms are pure: they return new tables and
-never mutate their input. `encode`/`decode` bridge to a standardized,
-one-hot design matrix and back, with a reversible column map, so a table can
-make a round trip through any numeric model of its features.
+A DataTable couples a column schema (name, kind, role, categories) with one
+read-only array per column: float64 with NaN for a missing cell, or integer
+codes into `categories` with -1 for a missing cell. All transforms are pure:
+they return new tables and never mutate their input. `encode`/`decode` bridge
+to a standardized, one-hot design matrix and back, with a reversible column
+map, so a table can make a round trip through any numeric model of its
+features.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -67,46 +70,73 @@ class ColumnSpec:
             raise SchemaError(f"column {self.name!r}: numeric columns take no categories")
 
 
-def _check_cell(spec: ColumnSpec, value):
-    if value is None:
-        return
+def _cells_to_array(spec: ColumnSpec, cells) -> np.ndarray:
+    """Check a list of cells and convert it to the stored form."""
     if spec.kind == "numeric":
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise DataError(f"column {spec.name!r}: non-finite numeric cell {value!r}")
-    else:
-        if value not in spec.categories:
-            raise DataError(f"column {spec.name!r}: cell {value!r} not in categories")
+        for v in cells:
+            if v is not None and not (isinstance(v, (int, float)) and math.isfinite(v)):
+                raise DataError(f"column {spec.name!r}: non-finite numeric cell {v!r}")
+        return np.array([np.nan if v is None else v for v in cells], dtype=float)
+    codes = {**{c: i for i, c in enumerate(spec.categories)}, None: -1}
+    try:
+        return np.array([codes[v] for v in cells], dtype=np.intp)
+    except (KeyError, TypeError) as exc:  # TypeError: an unhashable cell
+        raise DataError(f"column {spec.name!r}: cell {exc} not in categories") from None
 
 
-@dataclass
+def _stored(spec: ColumnSpec, values) -> np.ndarray:
+    """Check a stored-form array's invariants; return it read-only, sharing no writable memory."""
+    arr = np.asarray(values, dtype=float if spec.kind == "numeric" else None)
+    if spec.kind != "numeric" and arr.dtype.kind not in "iu":
+        raise SchemaError(f"column {spec.name!r}: codes must be integers, got {arr.dtype}")
+    bad = np.isinf(arr) if spec.kind == "numeric" else (arr < -1) | (arr >= len(spec.categories))
+    if bad.any():
+        raise DataError(f"column {spec.name!r}: invalid stored value {arr[bad].tolist()[0]!r}")
+    arr = arr.copy() if arr.flags.writeable or not arr.flags.owndata else arr
+    arr.flags.writeable = False
+    return arr
+
+
 class DataTable:
-    """Immutable-by-convention table: parallel columns keyed by schema order."""
+    """Immutable table. `columns` maps each name to a list of cells: None for
+    missing, a finite int or float, or a member of `categories`."""
 
-    schema: list
-    columns: dict
+    def __init__(self, schema, columns):
+        self._set(schema, columns, _cells_to_array)
 
-    def __post_init__(self):
-        names = [s.name for s in self.schema]
+    @classmethod
+    def from_arrays(cls, schema, arrays) -> "DataTable":
+        """A table from arrays in the stored form; only invariants are checked, vectorised."""
+        table = cls.__new__(cls)
+        table._set(schema, arrays, lambda spec, arr: arr)
+        return table
+
+    def _set(self, schema, columns, convert) -> None:
+        self.schema = list(schema)
+        names = self.column_names
         if len(set(names)) != len(names):
             raise SchemaError("duplicate column names in schema")
-        if set(self.columns) != set(names):
+        if set(columns) != set(names):
             raise SchemaError("columns do not match schema names")
-        lengths = {len(self.columns[n]) for n in names}
+        lengths = {len(columns[n]) for n in names}
         if len(lengths) > 1:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
-        for spec in self.schema:
-            for v in self.columns[spec.name]:
-                _check_cell(spec, v)
+        self._arrays = {s.name: _stored(s, convert(s, columns[s.name])) for s in self.schema}
 
     @property
     def n_rows(self) -> int:
         if not self.schema:
             return 0
-        return len(self.columns[self.schema[0].name])
+        return len(self._arrays[self.schema[0].name])
 
     @property
     def column_names(self) -> list:
         return [s.name for s in self.schema]
+
+    @property
+    def columns(self):
+        """Read-only view from column name to its list of cells (see `column`)."""
+        return MappingProxyType({n: self.column(n) for n in self.column_names})
 
     def spec(self, name: str) -> ColumnSpec:
         for s in self.schema:
@@ -114,24 +144,40 @@ class DataTable:
                 return s
         raise SchemaError(f"unknown column {name!r}")
 
-    def column(self, name: str) -> list:
+    def array(self, name: str) -> np.ndarray:
+        """The stored read-only array: float64 with NaN for missing, or codes with -1."""
         self.spec(name)
-        return self.columns[name]
+        return self._arrays[name]
+
+    def missing(self, name: str) -> np.ndarray:
+        arr = self.array(name)
+        return np.isnan(arr) if self.spec(name).kind == "numeric" else arr < 0
+
+    def map_cells(self, name: str, fn) -> list:
+        """[fn(cell) for cell in column(name)]; on a coded column fn runs once per category."""
+        spec, arr = self.spec(name), self._arrays[name]
+        if spec.kind != "numeric":  # code -1 picks the trailing None
+            return np.array([fn(c) for c in spec.categories + (None,)], dtype=object)[arr].tolist()
+        cells = arr.astype(object)
+        cells[np.isnan(arr)] = None
+        return [fn(v) for v in cells.tolist()]
+
+    def column(self, name: str) -> list:
+        """The cells of a column: None for missing, else a float or a category label."""
+        return self.map_cells(name, lambda cell: cell)
 
     def specs_with_role(self, role: str) -> list:
         return [s for s in self.schema if s.role == role]
 
     def take_rows(self, indices) -> "DataTable":
-        cols = {n: [self.columns[n][i] for i in indices] for n in self.column_names}
-        return DataTable(list(self.schema), cols)
+        idx = np.asarray(indices, dtype=np.intp)
+        return DataTable.from_arrays(self.schema, {n: a[idx] for n, a in self._arrays.items()})
 
-    def replace_column(self, spec: ColumnSpec, values: list) -> "DataTable":
-        """Return a table where the column of the same name is swapped for `spec`/`values`."""
+    def replace_column(self, spec: ColumnSpec, values) -> "DataTable":
+        """Swap the column of the same name for `spec` and the stored-form array `values`."""
         self.spec(spec.name)
         schema = [spec if s.name == spec.name else s for s in self.schema]
-        cols = dict(self.columns)
-        cols[spec.name] = list(values)
-        return DataTable(schema, cols)
+        return DataTable.from_arrays(schema, {**self._arrays, spec.name: values})
 
 
 # ---------------------------------------------------------------------------
@@ -175,23 +221,23 @@ def save_schema(schema, path) -> None:
     write_json(path, schema_to_jsonable(schema))
 
 
-def _parse_cell(spec: ColumnSpec, raw: str):
-    raw = raw.strip()
-    if raw in MISSING_TOKENS:
-        return None
-    if spec.kind == "numeric":
-        try:
-            v = float(raw)
-        except ValueError:
-            return None
-        return v if math.isfinite(v) else None
+def _float_or_nan(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        return math.nan
+
+
+def _parse_column(spec: ColumnSpec, raw) -> np.ndarray:
+    """Stored-form array of one column of CSV cells; unparseable cells become missing."""
+    if spec.kind == "categorical":
+        codes = {c: i for i, c in enumerate(spec.categories) if c not in MISSING_TOKENS}
+        return np.array([codes.get(r.strip(), -1) for r in raw], dtype=np.intp)
+    values = np.array([_float_or_nan(r) for r in raw], dtype=float)  # "" and "NA" give NaN
+    values[~np.isfinite(values)] = np.nan
     if spec.kind == "binary":
-        try:
-            v = float(raw)
-        except ValueError:
-            return None
-        return int(v) if v in (0.0, 1.0) else None
-    return raw if raw in spec.categories else None
+        return np.where((values == 0.0) | (values == 1.0), values, -1).astype(np.intp)
+    return values
 
 
 def load_csv(path, schema) -> DataTable:
@@ -218,34 +264,27 @@ def load_csv(path, schema) -> DataTable:
             raise SchemaError(
                 f"{path}: header does not match schema (missing {missing}, unexpected {extra})"
             )
-        col_idx = {n: header.index(n) for n in names}
-        columns = {n: [] for n in names}
-        for row in reader:
-            if len(row) != len(header):
-                raise DataError(f"{path}: row with {len(row)} cells, expected {len(header)}")
-            for s in schema:
-                columns[s.name].append(_parse_cell(s, row[col_idx[s.name]]))
-    return DataTable(list(schema), columns)
+        rows = list(reader)
+    for row in rows:
+        if len(row) != len(header):
+            raise DataError(f"{path}: row with {len(row)} cells, expected {len(header)}")
+    raw = dict(zip(header, zip(*rows))) if rows else {n: () for n in header}
+    return DataTable.from_arrays(schema, {s.name: _parse_column(s, raw[s.name]) for s in schema})
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _cell_texts(spec: ColumnSpec, arr) -> list:
+    if spec.kind == "numeric":  # NaN, the only non-finite value stored, marks a missing cell
+        return ["" if text == "nan" else text for text in map(repr, arr.tolist())]
+    return np.array([str(c) for c in spec.categories] + [""], dtype=object)[arr].tolist()
 
 
 def write_csv(table: DataTable, path) -> None:
     """Write the table back to CSV; missing cells become empty fields."""
     from .ioutil import atomic_write_text
 
-    names = table.column_names
-    rows = [names]
-    for i in range(table.n_rows):
-        rows.append([_format_cell(table.columns[n][i]) for n in names])
+    columns = [_cell_texts(s, table.array(s.name)) for s in table.schema]
     sink = io.StringIO()
-    csv.writer(sink, lineterminator="\n").writerows(rows)
+    csv.writer(sink, lineterminator="\n").writerows([table.column_names, *zip(*columns)])
     atomic_write_text(path, sink.getvalue())
 
 
@@ -259,27 +298,29 @@ def filter_rows(table: DataTable, column: str, keep) -> DataTable:
     if spec.kind not in ("categorical", "binary"):
         raise SchemaError(f"filter_rows needs a categorical column, got {spec.kind!r}")
     keep = set(keep)
-    values = table.column(column)
-    indices = [i for i, v in enumerate(values) if v in keep]
-    if not indices:
+    kept = [i for i, c in enumerate(spec.categories) if c in keep]
+    rows = np.flatnonzero(np.isin(table.array(column), kept + ([-1] if None in keep else [])))
+    if not rows.size:
         raise DataError(f"filter_rows on {column!r}: empty result")
-    out = table.take_rows(indices)
+    out = table.take_rows(rows)
     if spec.kind == "categorical":
-        cats = tuple(c for c in spec.categories if c in keep)
+        recode = np.full(len(spec.categories) + 1, -1)  # the last slot maps missing to missing
+        recode[kept] = np.arange(len(kept))
+        cats = tuple(spec.categories[i] for i in kept)
         out = out.replace_column(
-            ColumnSpec(spec.name, "categorical", spec.role, cats), out.column(column)
+            ColumnSpec(spec.name, "categorical", spec.role, cats), recode[out.array(column)]
         )
     return out
 
 
 def nearest_rank_percentile(values, q: float) -> float:
     """q-th percentile by the nearest-rank rule: the ceil(q*n)-th smallest value."""
-    vals = sorted(values)
-    if not vals:
+    vals = np.sort(np.asarray(values, dtype=float))
+    if not vals.size:
         raise DataError("percentile of empty sequence")
     rank = math.ceil(q * len(vals))
     rank = min(max(rank, 1), len(vals))
-    return vals[rank - 1]
+    return float(vals[rank - 1])
 
 
 def quartile_binarize(table: DataTable, column: str) -> DataTable:
@@ -287,14 +328,13 @@ def quartile_binarize(table: DataTable, column: str) -> DataTable:
     spec = table.spec(column)
     if spec.kind != "numeric":
         raise SchemaError(f"quartile_binarize needs a numeric column, got {spec.kind!r}")
-    values = table.column(column)
-    if any(v is None for v in values):
+    values = table.array(column)
+    if table.missing(column).any():
         raise DataError(f"quartile_binarize: column {column!r} has missing cells")
-    if not values:
+    if not values.size:
         raise DataError(f"quartile_binarize: column {column!r} is empty")
     q3 = nearest_rank_percentile(values, 0.75)
-    flags = [1 if v > q3 else 0 for v in values]
-    return table.replace_column(ColumnSpec(column, "binary", spec.role), flags)
+    return table.replace_column(ColumnSpec(column, "binary", spec.role), (values > q3).astype(np.intp))
 
 
 def _format_edge(e: float) -> str:
@@ -317,16 +357,11 @@ def bucket_numeric(table: DataTable, column: str, edges) -> DataTable:
     edges = list(edges)
     if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
         raise SchemaError("bucket edges must be strictly ascending")
-    labels = bucket_labels(edges)
-    values = []
-    for v in table.column(column):
-        if v is None:
-            values.append(None)
-            continue
-        idx = sum(1 for e in edges if v >= e)
-        values.append(labels[idx])
-    new_spec = ColumnSpec(column, "categorical", spec.role, tuple(labels))
-    return table.replace_column(new_spec, values)
+    values = table.array(column)
+    # bucket index = the number of edges <= value
+    codes = np.searchsorted(np.asarray(edges, dtype=float), values, side="right")
+    new_spec = ColumnSpec(column, "categorical", spec.role, tuple(bucket_labels(edges)))
+    return table.replace_column(new_spec, np.where(np.isnan(values), -1, codes))
 
 
 def binarize_threshold(table: DataTable, column: str, threshold: float, strict: bool = False) -> DataTable:
@@ -334,13 +369,9 @@ def binarize_threshold(table: DataTable, column: str, threshold: float, strict: 
     spec = table.spec(column)
     if spec.kind != "numeric":
         raise SchemaError(f"binarize_threshold needs a numeric column, got {spec.kind!r}")
-    values = []
-    for v in table.column(column):
-        if v is None:
-            values.append(None)
-        else:
-            values.append(int(v > threshold if strict else v >= threshold))
-    return table.replace_column(ColumnSpec(column, "binary", spec.role), values)
+    values = table.array(column)
+    flags = np.where(np.isnan(values), -1, values > threshold if strict else values >= threshold)
+    return table.replace_column(ColumnSpec(column, "binary", spec.role), flags)
 
 
 def drop_columns(table: DataTable, names) -> DataTable:
@@ -350,8 +381,7 @@ def drop_columns(table: DataTable, names) -> DataTable:
     schema = [s for s in table.schema if s.name not in names]
     if not schema:
         raise SchemaError("drop_columns would remove every column")
-    cols = {s.name: table.columns[s.name] for s in schema}
-    return DataTable(schema, cols)
+    return DataTable.from_arrays(schema, {s.name: table.array(s.name) for s in schema})
 
 
 def drop_sparse_columns(table: DataTable, k: int) -> DataTable:
@@ -360,10 +390,7 @@ def drop_sparse_columns(table: DataTable, k: int) -> DataTable:
         raise SchemaError(f"cannot drop {k} of {len(table.schema)} columns")
     if k <= 0:
         return table
-    counts = []
-    for idx, s in enumerate(table.schema):
-        missing = sum(1 for v in table.columns[s.name] if v is None)
-        counts.append((-missing, idx, s.name))
+    counts = [(-int(table.missing(s.name).sum()), idx, s.name) for idx, s in enumerate(table.schema)]
     doomed = {name for _, _, name in sorted(counts)[:k]}
     return drop_columns(table, doomed)
 
@@ -388,29 +415,24 @@ def split_indices_on(table: DataTable, column: str, test_fraction: float, seed: 
         raise DataError(f"need >= 10 rows to split, have {table.n_rows}")
     spec = table.spec(column)
     rng = derive_rng(seed, "train-test-split")
-    values = table.column(column)
-    test = []
-    if spec.kind in ("categorical", "binary"):
-        for cat in spec.categories:
-            idx = [i for i, v in enumerate(values) if v == cat]
-            if not idx:
-                continue
-            if len(idx) < 2:
-                raise DataError(f"column {column!r}: class {cat!r} has fewer than 2 rows")
-            perm = rng.permutation(len(idx))
-            n_test = int(round(test_fraction * len(idx)))
-            n_test = min(max(n_test, 1), len(idx) - 1)
-            test.extend(idx[j] for j in perm[:n_test])
-    else:
-        if any(v is None for v in values):
+    values = table.array(column)
+    if spec.kind == "numeric":
+        if table.missing(column).any():
             raise DataError(f"numeric column {column!r} has missing cells")
-        perm = rng.permutation(table.n_rows)
-        n_test = int(round(test_fraction * table.n_rows))
-        n_test = min(max(n_test, 1), table.n_rows - 1)
-        test = list(perm[:n_test])
-    test_set = set(test)
-    train = [i for i in range(table.n_rows) if i not in test_set]
-    return train, sorted(test_set)
+        classes = [(None, np.arange(table.n_rows))]
+    else:
+        classes = [(cat, np.flatnonzero(values == code)) for code, cat in enumerate(spec.categories)]
+    in_test = np.zeros(table.n_rows, dtype=bool)
+    for cat, idx in classes:
+        if not idx.size:
+            continue
+        if len(idx) < 2:
+            raise DataError(f"column {column!r}: class {cat!r} has fewer than 2 rows")
+        perm = rng.permutation(len(idx))
+        n_test = int(round(test_fraction * len(idx)))
+        n_test = min(max(n_test, 1), len(idx) - 1)
+        in_test[idx[perm[:n_test]]] = True
+    return np.flatnonzero(~in_test).tolist(), np.flatnonzero(in_test).tolist()
 
 
 def train_test_split(table: DataTable, test_fraction: float, seed: int):
@@ -442,27 +464,18 @@ class DesignMatrix:
     """Standardized numeric feature block plus everything needed to invert it.
 
     `values` holds only role=feature columns; protected and target columns are
-    carried alongside as raw label vectors so audits and decode can reattach
-    them.
+    carried alongside as their stored arrays so decode can reattach them.
     """
 
     values: np.ndarray
     column_map: tuple
     scaler: tuple  # per design column (mean, std); (0.0, 1.0) for one-hot columns
     schema: list
-    protected: dict
-    target: tuple | None
+    carried: dict  # name -> stored array, for each protected and target column
 
     @property
     def feature_names(self) -> list:
         return [c.name for c in self.column_map]
-
-
-def _fit_categories(spec: ColumnSpec, values) -> tuple:
-    cats = tuple(spec.categories)
-    if any(v is None for v in values):
-        cats = cats + (MISSING_CATEGORY,)
-    return cats
 
 
 def _layout(table: DataTable, fitted_categories: dict):
@@ -486,44 +499,39 @@ def _fill_values(table: DataTable, column_map, scaler) -> np.ndarray:
     for j, dc in enumerate(column_map):
         by_source.setdefault(dc.source, []).append((j, dc.category))
     for source, entries in by_source.items():
-        col = table.column(source)
+        col = table.array(source)
         if entries[0][1] is None:
             j = entries[0][0]
             mean, std = scaler[j]
-            for i, v in enumerate(col):
-                # missing numeric cells impute to the fitted mean, i.e. 0 after scaling
-                values[i, j] = 0.0 if v is None else (v - mean) / std
+            # missing numeric cells impute to the fitted mean, i.e. 0 after scaling
+            values[:, j] = np.where(np.isnan(col), 0.0, (col - mean) / std)
         else:
             cat_to_j = {cat: j for j, cat in entries}
-            for i, v in enumerate(col):
-                if v is None:
-                    if MISSING_CATEGORY not in cat_to_j:
-                        raise DataError(
-                            f"column {source!r}: missing cell but encoder was fitted without one"
-                        )
-                    values[i, cat_to_j[MISSING_CATEGORY]] = 1.0
-                elif v in cat_to_j:
-                    values[i, cat_to_j[v]] = 1.0
-                else:
-                    raise DataError(f"column {source!r}: unseen category {v!r}")
+            cats = table.spec(source).categories
+            # design column per code, the missing code -1 last; -1 where none was fitted
+            js = np.array([cat_to_j.get(c, -1) for c in cats + (MISSING_CATEGORY,)])[col]
+            if (js < 0).any():
+                i = int(np.argmax(js < 0))
+                if col[i] < 0:
+                    raise DataError(
+                        f"column {source!r}: missing cell but encoder was fitted without one"
+                    )
+                raise DataError(f"column {source!r}: unseen category {cats[col[i]]!r}")
+            values[np.arange(n), js] = 1.0
     return values
 
 
-def _carried(table: DataTable):
-    protected = {s.name: list(table.column(s.name)) for s in table.specs_with_role("protected")}
-    targets = table.specs_with_role("target")
-    target = (targets[0].name, list(table.column(targets[0].name))) if targets else None
-    return protected, target
+def _carried(table: DataTable) -> dict:
+    return {s.name: table.array(s.name) for s in table.schema if s.role in ("protected", "target")}
 
 
-def encode(table: DataTable, fit_scaler: bool = True) -> DesignMatrix:
+def encode(table: DataTable) -> DesignMatrix:
     """Fit an encoding on `table` and apply it.
 
     Numeric feature columns are standardized with the population standard
     deviation (constant columns keep std=1); categorical/binary columns become
     one-hot groups. Protected and target columns are excluded from the feature
-    block and carried alongside. With fit_scaler=False numeric columns are
-    passed through unscaled.
+    block and carried alongside.
     """
     if table.specs_with_role("drop"):
         names = [s.name for s in table.specs_with_role("drop")]
@@ -531,33 +539,29 @@ def encode(table: DataTable, fit_scaler: bool = True) -> DesignMatrix:
     fitted = {}
     for spec in table.schema:
         if spec.role == "feature" and spec.kind != "numeric":
-            fitted[spec.name] = _fit_categories(spec, table.column(spec.name))
+            missing = (MISSING_CATEGORY,) if table.missing(spec.name).any() else ()
+            fitted[spec.name] = spec.categories + missing
     column_map = _layout(table, fitted)
     scaler = []
     for dc in column_map:
         if dc.category is not None:
             scaler.append((0.0, 1.0))
             continue
-        observed = [v for v in table.column(dc.source) if v is not None]
-        if not observed:
+        observed = table.array(dc.source)[~table.missing(dc.source)]
+        if not observed.size:
             raise DataError(f"column {dc.source!r}: all cells missing, cannot fit scaler")
-        if not fit_scaler:
-            scaler.append((0.0, 1.0))
-            continue
         mean = float(np.mean(observed))
         std = float(np.std(observed))  # population std
         scaler.append((mean, std if std > 0.0 else 1.0))
     scaler = tuple(scaler)
     values = _fill_values(table, column_map, scaler)
-    protected, target = _carried(table)
-    return DesignMatrix(values, column_map, scaler, list(table.schema), protected, target)
+    return DesignMatrix(values, column_map, scaler, list(table.schema), _carried(table))
 
 
 def apply_encoding(table: DataTable, column_map, scaler) -> DesignMatrix:
     """Apply a previously fitted encoding to a new table with the same schema."""
     values = _fill_values(table, tuple(column_map), tuple(scaler))
-    protected, target = _carried(table)
-    return DesignMatrix(values, tuple(column_map), tuple(scaler), list(table.schema), protected, target)
+    return DesignMatrix(values, tuple(column_map), tuple(scaler), list(table.schema), _carried(table))
 
 
 def encode_features(table: DataTable, train_idx) -> np.ndarray:
@@ -566,7 +570,7 @@ def encode_features(table: DataTable, train_idx) -> np.ndarray:
     The encoding (one-hot vocabularies and standardization) is fitted on the
     `train_idx` rows only, so test rows never inform it.
     """
-    fitted = encode(table.take_rows(train_idx), fit_scaler=True)
+    fitted = encode(table.take_rows(train_idx))
     return apply_encoding(table, fitted.column_map, fitted.scaler).values
 
 
@@ -575,7 +579,7 @@ def decode(matrix: DesignMatrix) -> DataTable:
 
     Numeric columns are inverse-standardized; each one-hot group takes its
     argmax category (lowest index wins ties). Protected and target columns are
-    reattached from the carried vectors.
+    reattached from the carried arrays.
     """
     values = np.asarray(matrix.values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(matrix.column_map):
@@ -583,27 +587,23 @@ def decode(matrix: DesignMatrix) -> DataTable:
             f"value matrix has {values.shape[1] if values.ndim == 2 else '?'} columns, "
             f"column map expects {len(matrix.column_map)}"
         )
-    n = values.shape[0]
+    if not np.isfinite(values).all():
+        raise DataError("value matrix holds non-finite values")
     groups = {}
     for j, dc in enumerate(matrix.column_map):
         groups.setdefault(dc.source, []).append(j)
-    columns = {}
+    arrays = {}
     for spec in matrix.schema:
-        if spec.role == "protected":
-            columns[spec.name] = list(matrix.protected[spec.name])
-        elif spec.role == "target":
-            columns[spec.name] = list(matrix.target[1])
+        if spec.role in ("protected", "target"):
+            arrays[spec.name] = matrix.carried[spec.name]
         elif spec.kind == "numeric":
             j = groups[spec.name][0]
             mean, std = matrix.scaler[j]
-            columns[spec.name] = [float(v * std + mean) for v in values[:, j]]
+            arrays[spec.name] = values[:, j] * std + mean
         else:
             js = groups[spec.name]
-            cats = [matrix.column_map[j].category for j in js]
-            picks = np.argmax(values[:, js], axis=1)
-            columns[spec.name] = [
-                None if cats[p] == MISSING_CATEGORY else cats[p] for p in picks
-            ]
-        if spec.role in ("protected", "target") and len(columns[spec.name]) != n:
-            raise SchemaError(f"carried column {spec.name!r} length mismatch")
-    return DataTable(list(matrix.schema), columns)
+            # code of each design column; an unknown category gets an out-of-range code
+            codes = {**{c: i for i, c in enumerate(spec.categories)}, MISSING_CATEGORY: -1}
+            lut = np.array([codes.get(matrix.column_map[j].category, len(codes)) for j in js])
+            arrays[spec.name] = lut[np.argmax(values[:, js], axis=1)]
+    return DataTable.from_arrays(matrix.schema, arrays)

@@ -250,25 +250,31 @@ def test_debias_passes_drop_columns_through(tmp_path):
     assert [r[idc] for r in rewritten[1:]] == [r[idc] for r in orig[1:]]
 
 
-@pytest.mark.parametrize("edit, named", [
-    (lambda c: c.update(extra_key=1), "extra_key"),
-    (lambda c: c["model"].update(learnin_rate=0.1), "learnin_rate"),
-    (lambda c: c["debias"].update(epochz=10), "epochz"),
-    (lambda c: c["debias"].update(seed=3), "seed"),
-    (lambda c: c["debias"].update(epochs=0), "epochs"),
-    (lambda c: c["debias"].update(epochs=1.5), "epochs"),
-    (lambda c: c["audit"].update(bins_=5), "bins_"),
-    (lambda c: c["audit"].update(on="alll"), "alll"),
-    (lambda c: c.update(fit_debias_on="trian"), "trian"),
+@pytest.mark.parametrize("study, edit, named", [
+    ("heart", lambda c: c.update(extra_key=1), "extra_key"),
+    ("heart", lambda c: c["model"].update(learnin_rate=0.1), "learnin_rate"),
+    ("heart", lambda c: c["debias"].update(epochz=10), "epochz"),
+    ("heart", lambda c: c["debias"].update(seed=3), "seed"),
+    ("heart", lambda c: c["debias"].update(epochs=0), "epochs"),
+    ("heart", lambda c: c["debias"].update(epochs=1.5), "epochs"),
+    ("heart", lambda c: c["audit"].update(bins_=5), "bins_"),
+    ("heart", lambda c: c["audit"].update(on="alll"), "alll"),
+    ("heart", lambda c: c.update(fit_debias_on="trian"), "trian"),
+    ("heart", lambda c: c["model"].update(epochs=2.5), "epochs"),
+    ("heart", lambda c: c["model"].update(epochs=0), "epochs"),
+    ("heart", lambda c: c["model"].update(learning_rate=0), "learning_rate"),
+    ("passnyc", lambda c: c["model"].update(kind="ridge", ridge_lambda=-1), "ridge_lambda"),
+    ("passnyc", lambda c: c["model"].update(kind="ridge", ridge_lambda="x"), "ridge_lambda"),
 ], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
-        "audit-key", "audit-on", "fit-debias-on"])
-def test_run_study_config_typo_exits_two(tmp_path, capsys, edit, named):
-    config = json.loads((STUDIES / "heart.json").read_text())
+        "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
+        "model-learning-rate", "model-ridge-negative", "model-ridge-type"])
+def test_run_study_config_typo_exits_two(tmp_path, capsys, study, edit, named):
+    config = json.loads((STUDIES / f"{study}.json").read_text())
     edit(config)
     # absolute paths, so the edited copy still finds the schema and the bundled data
     config["schema"] = str((STUDIES / config["schema"]).resolve())
     config["source"]["bundled"] = str((STUDIES / config["source"]["bundled"]).resolve())
-    bad = tmp_path / "heart.json"
+    bad = tmp_path / f"{study}.json"
     bad.write_text(json.dumps(config))
     assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2
     err = capsys.readouterr().err

@@ -1,4 +1,7 @@
+import csv
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +67,35 @@ def test_table_rejects_ragged_columns():
         DataTable(spec, {"x": [1.0], "y": [1.0, 2.0]})
 
 
+def test_from_arrays_checks_invariants_by_column():
+    spec = [ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", categories=("a", "b"))]
+    with pytest.raises(DataError, match="'x'"):
+        DataTable.from_arrays(spec, {"x": np.array([1.0, np.inf]), "c": np.array([0, 1])})
+    for bad in ([0, 2], [-2, 0]):
+        with pytest.raises(DataError, match="'c'"):
+            DataTable.from_arrays(spec, {"x": np.zeros(2), "c": np.array(bad)})
+    with pytest.raises(SchemaError, match="integers"):
+        DataTable.from_arrays(spec, {"x": np.zeros(2), "c": np.array([0.0, 1.0])})
+
+
+def test_stored_arrays_are_read_only(toy_table):
+    for name in toy_table.column_names:
+        with pytest.raises(ValueError, match="read-only"):
+            toy_table.array(name)[0] = 0
+    # a writable input array is copied, so writing to it later changes nothing
+    x = np.array([1.0, 2.0])
+    table = DataTable.from_arrays([ColumnSpec("x", "numeric")], {"x": x})
+    x[0] = 99.0
+    assert table.column("x") == [1.0, 2.0]
+
+
+def test_derived_tables_share_no_writable_memory(toy_table):
+    for out in (toy_table.take_rows([4, 0, 2]), filter_rows(toy_table, "group", {"a"})):
+        for name in toy_table.column_names:
+            assert not out.array(name).flags.writeable
+            assert not np.shares_memory(out.array(name), toy_table.array(name))
+
+
 # ---------------------------------------------------------------------------
 # CSV + schema files
 
@@ -115,6 +147,45 @@ def test_csv_round_trip(tmp_path, toy_table):
     assert back.columns == toy_table.columns
 
 
+_CSV_LABELS = ("plain", "with, comma", 'say "hi"', "ünïcode")
+
+
+@st.composite
+def _csv_tables(draw):
+    n = draw(st.integers(0, 15))
+    number = st.floats(allow_nan=False, allow_infinity=False)
+    schema = [
+        ColumnSpec("x", "numeric"),
+        ColumnSpec("label", "categorical", "protected", _CSV_LABELS),
+        ColumnSpec("flag", "binary", "target"),
+    ]
+    columns = {
+        "x": draw(st.lists(st.none() | number, min_size=n, max_size=n)),
+        "label": draw(st.lists(st.none() | st.sampled_from(_CSV_LABELS), min_size=n, max_size=n)),
+        "flag": draw(st.lists(st.sampled_from((None, 0, 1)), min_size=n, max_size=n)),
+    }
+    return DataTable(schema, columns), columns
+
+
+@settings(max_examples=80)
+@given(_csv_tables())
+def test_property_csv_round_trip_is_byte_stable(drawn):
+    table, cells = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.csv", Path(tmp) / "second.csv"
+        write_csv(table, first)
+        back = load_csv(first, table.schema)
+        write_csv(back, second)
+        assert first.read_bytes() == second.read_bytes()
+        with open(first, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+    for name, values in cells.items():
+        # a missing cell, and only a missing cell, is written as an empty field
+        assert [row[header.index(name)] == "" for row in rows] == [v is None for v in values]
+        assert back.column(name) == values
+        assert [type(v) for v in back.column(name)] == [type(v) for v in values]
+
+
 def test_schema_file_round_trip(tmp_path, toy_table):
     p = tmp_path / "schema.json"
     save_schema(toy_table.schema, p)
@@ -136,6 +207,21 @@ def test_filter_rows_counts_and_vocabulary(toy_table):
     assert out.spec("group").categories == ("a",)
     # surviving cell values are untouched
     assert out.column("x") == [2.0, 6.0, 3.0]
+
+
+def test_filter_rows_recodes_shrunken_vocabulary():
+    spec = ColumnSpec("c", "categorical", "protected", ("a", "b", "c", "d"))
+    table = DataTable(
+        [spec, ColumnSpec("x", "numeric")],
+        {"c": ["d", "a", None, "b", "c", "d", "b"], "x": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0]},
+    )
+    out = filter_rows(table, "c", {"d", "b"})
+    assert out.spec("c") == ColumnSpec("c", "categorical", "protected", ("b", "d"))
+    assert out.column("c") == ["d", "b", "d", "b"]
+    assert out.array("c").tolist() == [1, 0, 1, 0]
+    assert out.column("x") == [0.0, 3.0, 5.0, 6.0]
+    # None in `keep` keeps the missing cells, which stay missing
+    assert filter_rows(table, "c", {"c", None}).column("c") == [None, "c"]
 
 
 def test_filter_rows_empty_result(toy_table):
@@ -271,8 +357,9 @@ def test_encode_constant_column_keeps_unit_std():
 def test_encode_excludes_protected_and_carries_it(toy_table):
     mat = encode(toy_table)
     assert "group" not in {c.source for c in mat.column_map}
-    assert mat.protected["group"] == toy_table.column("group")
-    assert mat.target == ("y", toy_table.column("y"))
+    assert set(mat.carried) == {"group", "y"}
+    assert np.array_equal(mat.carried["group"], toy_table.array("group"))
+    assert np.array_equal(mat.carried["y"], toy_table.array("y"))
 
 
 def test_encode_one_hot_rows_sum_to_one(toy_table):
@@ -303,12 +390,6 @@ def test_encode_rejects_drop_columns():
     with pytest.raises(SchemaError, match="drop"):
         encode(table)
     assert encode(drop_columns(table, ["junk"])).values.shape == (1, 1)
-
-
-def test_encode_no_fit_scaler_passes_raw_values():
-    table = DataTable([ColumnSpec("x", "numeric")], {"x": [10.0, 20.0]})
-    mat = encode(table, fit_scaler=False)
-    assert mat.values[:, 0].tolist() == [10.0, 20.0]
 
 
 def test_apply_encoding_unseen_category_errors(toy_table):
@@ -345,6 +426,13 @@ def test_decode_argmax_and_tie_rule():
     assert decode(mat).column("c") == ["b"]
     mat.values = np.array([[0.5, 0.5, 0.0]])
     assert decode(mat).column("c") == ["a"]  # lowest index wins ties
+
+
+def test_decode_rejects_non_finite_values(toy_table):
+    mat = encode(toy_table)
+    mat.values[2, 0] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        decode(mat)
 
 
 def test_decode_dimension_mismatch(toy_table):
