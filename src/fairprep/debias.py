@@ -5,7 +5,8 @@ decoder reconstructs the features from it, and an adversary tries to predict
 the protected category from the code. Training alternates:
 
   1. adversary phase: `adversary_steps` gradient steps minimizing the
-     adversary's cross-entropy on the current latent codes;
+     adversary's cross-entropy on the batch's latent codes, which are
+     computed once per batch because the encoder does not change here;
   2. encoder/decoder phase: one step on
         reconstruction_loss - adversary_weight * adversary_cross_entropy,
      realized with a single backward pass that routes the adversary's input
@@ -42,6 +43,7 @@ from .mlcore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
+    softmax,
     softmax_cross_entropy,
     squared_error,
 )
@@ -130,6 +132,19 @@ def _summed_loss(pred, target, blocks):
     return loss, grad
 
 
+def _heads_grad(logits, onehot, heads):
+    """d(summed softmax cross-entropy)/d logits over the heads, without the loss value.
+
+    Bit for bit the gradient `_summed_loss` returns for the same heads; the
+    heads must cover every column.
+    """
+    n = logits.shape[0]
+    grad = np.empty_like(logits)
+    for cols, _ in heads:
+        grad[:, cols] = (softmax(logits[:, cols]) - onehot[:, cols]) / n
+    return grad
+
+
 def _reconstruction_blocks(column_map) -> tuple:
     """Squared error on all numeric design columns, softmax cross-entropy per one-hot group.
 
@@ -216,47 +231,51 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
     lam = cfg.adversary_weight
 
     trace = TrainingTrace()
-    for epoch in range(cfg.epochs):
-        if n <= cfg.batch_size:
-            batches = [np.arange(n)]
-        else:
-            order = shuffler.permutation(n)
-            batches = [order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
-        ep_recon = ep_adv = 0.0
-        rows_seen = 0
-        for idx in batches:
-            Xb, Yb = X[idx], targets[idx]
-            for _ in range(cfg.adversary_steps):
-                _, z = mlp_forward(encoder, Xb)
+    # A diverging run overflows long before its loss is checked; the check raises
+    # TrainingDivergedError, so numpy's floating-point warnings would only add noise.
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            if n <= cfg.batch_size:
+                batches = [np.arange(n)]
+            else:
+                order = shuffler.permutation(n)
+                batches = [order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+            ep_recon = ep_adv = 0.0
+            for idx in batches:
+                Xb, Yb = X[idx], targets[idx]
+                # the encoder is frozen in the adversary phase: one forward serves both phases
+                cache_e, z = mlp_forward(encoder, Xb)
+                if not np.isfinite(z).all():  # an earlier batch's update diverged
+                    ep_recon = ep_adv = math.nan
+                    break
+                for _ in range(cfg.adversary_steps):
+                    cache_a, logits = mlp_forward(adversary, z)
+                    g_adv = _heads_grad(logits, Yb, adv_blocks)
+                    grads_a, _ = mlp_backward(adversary, cache_a, g_adv)
+                    adam_step(adversary, grads_a, st_adv, cfg.learning_rate)
+
+                cache_d, recon = mlp_forward(decoder, z)
+                loss_r, g_r = _summed_loss(recon, Xb, recon_blocks)
+                grads_d, dz_recon = mlp_backward(decoder, cache_d, g_r)
                 cache_a, logits = mlp_forward(adversary, z)
-                _, g_adv = _summed_loss(logits, Yb, adv_blocks)
-                grads_a, _ = mlp_backward(adversary, cache_a, g_adv)
-                adam_step(adversary, grads_a, st_adv, cfg.learning_rate)
+                loss_a, g_adv = _summed_loss(logits, Yb, adv_blocks)
+                _, dz_adv = mlp_backward(adversary, cache_a, g_adv)  # adversary params frozen here
+                grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
+                adam_step(decoder, grads_d, st_dec, cfg.learning_rate)
+                adam_step(encoder, grads_e, st_enc, cfg.learning_rate)
 
-            cache_e, z = mlp_forward(encoder, Xb)
-            cache_d, recon = mlp_forward(decoder, z)
-            loss_r, g_r = _summed_loss(recon, Xb, recon_blocks)
-            grads_d, dz_recon = mlp_backward(decoder, cache_d, g_r)
-            cache_a, logits = mlp_forward(adversary, z)
-            loss_a, g_adv = _summed_loss(logits, Yb, adv_blocks)
-            _, dz_adv = mlp_backward(adversary, cache_a, g_adv)  # adversary params frozen here
-            grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
-            adam_step(decoder, grads_d, st_dec, cfg.learning_rate)
-            adam_step(encoder, grads_e, st_enc, cfg.learning_rate)
-
-            ep_recon += loss_r * len(idx)
-            ep_adv += loss_a * len(idx)
-            rows_seen += len(idx)
-        recon_epoch = ep_recon / rows_seen
-        adv_epoch = ep_adv / rows_seen
-        combined = recon_epoch - lam * adv_epoch
-        trace.reconstruction_loss.append(recon_epoch)
-        trace.adversary_loss.append(adv_epoch)
-        trace.combined_loss.append(combined)
-        if not (math.isfinite(recon_epoch) and math.isfinite(adv_epoch)):
-            raise TrainingDivergedError(
-                f"debias training loss became non-finite at epoch {epoch}", epoch, trace
-            )
+                ep_recon += loss_r * len(idx)
+                ep_adv += loss_a * len(idx)
+            recon_epoch = ep_recon / n
+            adv_epoch = ep_adv / n
+            combined = recon_epoch - lam * adv_epoch
+            trace.reconstruction_loss.append(recon_epoch)
+            trace.adversary_loss.append(adv_epoch)
+            trace.combined_loss.append(combined)
+            if not (math.isfinite(recon_epoch) and math.isfinite(adv_epoch)):
+                raise TrainingDivergedError(
+                    f"debias training loss became non-finite at epoch {epoch}", epoch, trace
+                )
 
     model = DebiasModel(
         encoder,

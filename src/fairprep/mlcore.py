@@ -68,11 +68,36 @@ def sigmoid(z):
     return out
 
 
+# Below this row width a loop over columns is several times faster than
+# numpy's axis=1 reduction and adds in the same order, so it gives the same
+# bits. From 8 entries on, numpy sums a row pairwise and the bits differ.
+_NARROW_ROW = 8
+
+
+def _row_max(x):
+    """x.max(axis=1, keepdims=True) of a 2-d array."""
+    if x.shape[1] >= _NARROW_ROW:
+        return x.max(axis=1, keepdims=True)
+    m = x[:, :1].copy()
+    for j in range(1, x.shape[1]):
+        np.maximum(m, x[:, j : j + 1], out=m)
+    return m
+
+
+def _row_sum(x):
+    """x.sum(axis=1, keepdims=True) of a 2-d array."""
+    if x.shape[1] >= _NARROW_ROW:
+        return x.sum(axis=1, keepdims=True)
+    s = x[:, :1] + 0.0  # numpy's sum starts from +0.0, which turns a -0.0 into +0.0
+    for j in range(1, x.shape[1]):
+        s += x[:, j : j + 1]
+    return s
+
+
 def softmax(z):
     z = np.asarray(z, dtype=float)
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(z - _row_max(z))
+    return e / _row_sum(e)
 
 
 def squared_error(pred, target):
@@ -110,10 +135,10 @@ def softmax_cross_entropy(logits, onehot):
     logits = np.asarray(logits, dtype=float)
     onehot = np.asarray(onehot, dtype=float)
     n = logits.shape[0]
-    m = logits.max(axis=1, keepdims=True)
+    m = _row_max(logits)
     e = np.exp(logits - m)
-    s = e.sum(axis=1, keepdims=True)
-    loss = float(np.sum((m + np.log(s))[:, 0] - np.sum(logits * onehot, axis=1)) / n)
+    s = _row_sum(e)
+    loss = float(np.sum((m + np.log(s))[:, 0] - _row_sum(logits * onehot)[:, 0]) / n)
     return loss, (e / s - onehot) / n
 
 
@@ -213,7 +238,9 @@ def mlp_backward(net: Mlp, cache, output_grad):
         da = dz @ net.weights[l].T
         if l > 0:
             if net.hidden_activation == "tanh":
-                dz = da * (1.0 - activations[l] ** 2)
+                dz = np.square(activations[l])
+                np.subtract(1.0, dz, out=dz)
+                dz *= da
             else:
                 dz = da * (pre[l - 1] > 0.0)
         else:

@@ -3,7 +3,10 @@
 Nothing here shares code with fairprep's fitting paths: the percentile rule
 is recomputed from its definition, gradients come from central differences,
 logistic regression from IRLS, and ridge regression from plain gradient
-descent with an explicitly safe step size.
+descent with an explicitly safe step size. The one exception is
+`reference_debias_training`, which keeps the adversarial training loop in its
+plain form on top of fairprep's own kernels, so that the optimized loop can be
+compared with it bit for bit.
 """
 
 import math
@@ -101,3 +104,71 @@ def gd_ridge(X, y, lam, max_iter=200_000, tol=1e-13):
         if np.linalg.norm(grad) < tol:
             break
     return theta[:d], theta[d]
+
+
+def reference_debias_training(table, cfg):
+    """The debiaser's training loop without shortcuts; returns (encoder, decoder, adversary, trace).
+
+    The encoder forward is recomputed on every adversary step, and every step
+    takes the full summed loss and its gradient. Same initialisation, batch
+    order and update order as `fairprep.debias.train_debiaser`.
+    """
+    from fairprep import debias
+    from fairprep.mlcore import adam_init, adam_step, derive_rng, mlp_backward, mlp_forward, mlp_init
+    from fairprep.tabular import encode
+
+    names = [s.name for s in table.specs_with_role("protected")]
+    mat = encode(table)
+    X = mat.values
+    n, d = X.shape
+    targets, adv_blocks = debias._protected_targets(table, names)
+    latent = debias.resolve_latent_dim(cfg, d)
+    hidden = cfg.encoder_hidden if cfg.encoder_hidden is not None else 2 * d
+    adv_hidden = cfg.adversary_hidden if cfg.adversary_hidden is not None else latent
+    encoder = mlp_init([d, hidden, latent], "tanh", "identity", derive_rng(cfg.seed, "encoder"))
+    decoder = mlp_init([latent, hidden, d], "tanh", "identity", derive_rng(cfg.seed, "decoder"))
+    adversary = mlp_init([latent, adv_hidden, targets.shape[1]], "tanh", "identity",
+                         derive_rng(cfg.seed, "adversary"))
+    st_enc, st_dec, st_adv = adam_init(encoder), adam_init(decoder), adam_init(adversary)
+    recon_blocks = debias._reconstruction_blocks(mat.column_map)
+    shuffler = derive_rng(cfg.seed, "batches")
+    lam, lr = cfg.adversary_weight, cfg.learning_rate
+
+    trace = debias.TrainingTrace()
+    for _ in range(cfg.epochs):
+        if n <= cfg.batch_size:
+            batches = [np.arange(n)]
+        else:
+            order = shuffler.permutation(n)
+            batches = [order[i : i + cfg.batch_size] for i in range(0, n, cfg.batch_size)]
+        ep_recon = ep_adv = 0.0
+        rows_seen = 0
+        for idx in batches:
+            Xb, Yb = X[idx], targets[idx]
+            for _ in range(cfg.adversary_steps):
+                _, z = mlp_forward(encoder, Xb)
+                cache_a, logits = mlp_forward(adversary, z)
+                _, g_adv = debias._summed_loss(logits, Yb, adv_blocks)
+                grads_a, _ = mlp_backward(adversary, cache_a, g_adv)
+                adam_step(adversary, grads_a, st_adv, lr)
+
+            cache_e, z = mlp_forward(encoder, Xb)
+            cache_d, recon = mlp_forward(decoder, z)
+            loss_r, g_r = debias._summed_loss(recon, Xb, recon_blocks)
+            grads_d, dz_recon = mlp_backward(decoder, cache_d, g_r)
+            cache_a, logits = mlp_forward(adversary, z)
+            loss_a, g_adv = debias._summed_loss(logits, Yb, adv_blocks)
+            _, dz_adv = mlp_backward(adversary, cache_a, g_adv)
+            grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
+            adam_step(decoder, grads_d, st_dec, lr)
+            adam_step(encoder, grads_e, st_enc, lr)
+
+            ep_recon += loss_r * len(idx)
+            ep_adv += loss_a * len(idx)
+            rows_seen += len(idx)
+        recon_epoch = ep_recon / rows_seen
+        adv_epoch = ep_adv / rows_seen
+        trace.reconstruction_loss.append(recon_epoch)
+        trace.adversary_loss.append(adv_epoch)
+        trace.combined_loss.append(recon_epoch - lam * adv_epoch)
+    return encoder, decoder, adversary, trace

@@ -1,5 +1,6 @@
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -250,6 +251,18 @@ def test_debias_passes_drop_columns_through(tmp_path):
     assert [r[idc] for r in rewritten[1:]] == [r[idc] for r in orig[1:]]
 
 
+def _edited_study(tmp_path, study, edit):
+    """Write an edited copy of a bundled study config; returns its path."""
+    config = json.loads((STUDIES / f"{study}.json").read_text())
+    edit(config)
+    # absolute paths, so the edited copy still finds the schema and the bundled data
+    config["schema"] = str((STUDIES / config["schema"]).resolve())
+    config["source"]["bundled"] = str((STUDIES / config["source"]["bundled"]).resolve())
+    path = tmp_path / f"{study}.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 @pytest.mark.parametrize("study, edit, named", [
     ("heart", lambda c: c.update(extra_key=1), "extra_key"),
     ("heart", lambda c: c["model"].update(learnin_rate=0.1), "learnin_rate"),
@@ -269,15 +282,24 @@ def test_debias_passes_drop_columns_through(tmp_path):
         "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
         "model-learning-rate", "model-ridge-negative", "model-ridge-type"])
 def test_run_study_config_typo_exits_two(tmp_path, capsys, study, edit, named):
-    config = json.loads((STUDIES / f"{study}.json").read_text())
-    edit(config)
-    # absolute paths, so the edited copy still finds the schema and the bundled data
-    config["schema"] = str((STUDIES / config["schema"]).resolve())
-    config["source"]["bundled"] = str((STUDIES / config["source"]["bundled"]).resolve())
-    bad = tmp_path / f"{study}.json"
-    bad.write_text(json.dumps(config))
+    bad = _edited_study(tmp_path, study, edit)
     assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_study_minibatch_divergence_exits_three(tmp_path, capsys):
+    diverging = _edited_study(
+        tmp_path, "heart",
+        lambda c: c["debias"].update(learning_rate=1e160, batch_size=30, epochs=2),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no numpy warning reaches the user
+        code = _run(["run-study", "--config", diverging, "--seeds", 1,
+                     "--out", tmp_path / "out", "--offline"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "non-finite" in err

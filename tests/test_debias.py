@@ -1,7 +1,10 @@
+import math
 import statistics
 
 import numpy as np
 import pytest
+
+import oracles
 
 from fairprep.debias import (
     DebiasConfig,
@@ -154,7 +157,8 @@ def test_train_warns_on_full_capacity_latent():
         train_debiaser(table, DebiasConfig(latent_dim=10, epochs=5))
 
 
-def test_multi_protected_columns_train_and_transform():
+def multi_protected_table():
+    """Two protected columns, binary and 3-category, each leaked by one feature."""
     rng = derive_rng(4, "multi")
     n = 200
     a = (rng.random(n) < 0.5).astype(int)
@@ -175,12 +179,16 @@ def test_multi_protected_columns_train_and_transform():
         "gb": list(b),
         "y": [int(v) for v in (rng.random(n) < 0.5)],
     }
-    table = DataTable(schema, columns)
+    return DataTable(schema, columns)
+
+
+def test_multi_protected_columns_train_and_transform():
+    table = multi_protected_table()
     model, _ = train_debiaser(table, DebiasConfig(adversary_weight=2.0, epochs=100, seed=0))
     assert model.adversary.dims[-1] == 2 + 3  # concatenated class blocks
     out = transform(model, table)
-    assert out.column("ga") == columns["ga"]
-    assert out.column("gb") == columns["gb"]
+    assert out.column("ga") == table.column("ga")
+    assert out.column("gb") == table.column("gb")
 
 
 def test_probe_multiclass_one_vs_rest():
@@ -282,3 +290,51 @@ def test_reconstruction_loss_matches_finite_differences():
         lo[idx] -= step
         numeric[idx] = (_summed_loss(hi, x, blocks)[0] - _summed_loss(lo, x, blocks)[0]) / (2 * step)
     assert np.max(np.abs(grad - numeric)) <= 1e-6 * max(1.0, np.max(np.abs(numeric)))
+
+
+def three_category_table(n=230):
+    """A 3-category protected column leaked by a numeric and a one-hot feature."""
+    rng = derive_rng(5, "three-category")
+    g = rng.integers(0, 3, n)
+    shade = np.where(rng.random(n) < 0.7, g, rng.integers(0, 3, n))
+    schema = [
+        ColumnSpec("sig", "numeric", "feature"),
+        ColumnSpec("shade", "categorical", "feature", ("light", "mid", "dark")),
+        ColumnSpec("noise", "numeric", "feature"),
+        ColumnSpec("grp", "categorical", "protected", ("u", "v", "w")),
+        ColumnSpec("y", "binary", "target"),
+    ]
+    columns = {
+        "sig": [float(v) for v in g + 0.4 * rng.standard_normal(n)],
+        "shade": [("light", "mid", "dark")[v] for v in shade],
+        "noise": [float(v) for v in rng.standard_normal(n)],
+        "grp": [("u", "v", "w")[v] for v in g],
+        "y": [int(v) for v in (rng.random(n) < 0.5)],
+    }
+    return DataTable(schema, columns)
+
+
+@pytest.mark.parametrize("make_table, cfg", [
+    (lambda: copy_dataset(n=120), DebiasConfig(epochs=25, seed=1)),
+    (three_category_table, DebiasConfig(epochs=6, batch_size=64, adversary_steps=2, seed=2)),
+    (multi_protected_table, DebiasConfig(adversary_weight=2.0, epochs=15, seed=0)),
+], ids=["full-batch-binary", "mini-batch-3-category", "two-protected"])
+def test_training_matches_the_plain_reference_loop_bit_for_bit(make_table, cfg):
+    table = make_table()
+    model, trace = train_debiaser(table, cfg)
+    *ref_nets, ref_trace = oracles.reference_debias_training(table, cfg)
+    for net, ref in zip((model.encoder, model.decoder, model.adversary), ref_nets):
+        for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert np.array_equal(got, want)
+    assert trace.reconstruction_loss == ref_trace.reconstruction_loss
+    assert trace.adversary_loss == ref_trace.adversary_loss
+    assert trace.combined_loss == ref_trace.combined_loss
+
+
+def test_minibatch_divergence_ends_the_epoch():
+    # a later batch's latent code is non-finite once an update has blown up the encoder
+    table = copy_dataset(n=100)
+    with pytest.raises(TrainingDivergedError) as err:
+        train_debiaser(table, DebiasConfig(epochs=3, learning_rate=1e160, batch_size=30))
+    assert len(err.value.trace) == err.value.epoch + 1
+    assert not math.isfinite(err.value.trace.combined_loss[-1])

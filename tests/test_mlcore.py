@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairprep.mlcore import (
     LinearModel,
@@ -30,6 +32,8 @@ from fairprep.mlcore import (
     softmax,
     softmax_cross_entropy,
     squared_error,
+    _row_max,
+    _row_sum,
 )
 
 import oracles
@@ -111,6 +115,36 @@ def test_softmax_outputs_are_distributions():
     _, out = mlp_forward(net, derive_rng(10, "t").standard_normal((20, 3)) * 8)
     assert np.all(out > 0.0) and np.all(out < 1.0)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 12),
+    n=st.integers(1, 40),
+    log_scale=st.floats(-8, 8),
+    seed=st.integers(0, 2**32 - 1),
+    signed_zeros=st.booleans(),
+    column_slice=st.booleans(),
+)
+def test_property_row_reductions_and_softmax_gradient_are_bit_exact(
+    k, n, log_scale, seed, signed_zeros, column_slice
+):
+    rng = derive_rng(seed, "row-reductions")
+    wide = rng.standard_normal((n, k + 2)) * 10.0**log_scale
+    if signed_zeros:
+        wide[rng.random(wide.shape) < 0.3] = 0.0
+        wide[rng.random(wide.shape) < 0.3] = -0.0
+    # a column slice is a strided view, as when a loss takes one head's logits
+    z = wide[:, 1 : k + 1] if column_slice else np.ascontiguousarray(wide[:, :k])
+    onehot = np.eye(k)[rng.integers(0, k, n)]
+
+    def bits(a):
+        return a.view(np.int64)
+
+    assert np.array_equal(bits(_row_max(z)), bits(z.max(axis=1, keepdims=True)))
+    assert np.array_equal(bits(_row_sum(z)), bits(z.sum(axis=1, keepdims=True)))
+    _, grad = softmax_cross_entropy(z, onehot)
+    assert np.array_equal(bits((softmax(z) - onehot) / n), bits(grad))
 
 
 def test_sigmoid_extreme_inputs_stay_in_bounds():
