@@ -76,12 +76,10 @@ class AuditReport:
     true_table: BiasTable | None = None  # group stats of the true values (regression)
 
 
-def group_stats(estimates, groups, strata) -> list:
-    """Per-(group, stratum) mean and population std of the estimates.
+def _cells(estimates, groups, strata) -> list:
+    """(group, stratum, values) for every cell, in `group_stats` order, checked as it says.
 
-    Groups and strata keep first-appearance order. Every observed group must
-    appear in every observed stratum; an empty cell is an error naming it, and
-    so is a NaN or infinite estimate (by its 0-based row).
+    Labels are matched by hash and `==`; a cell's values keep their row order.
     """
     estimates = np.asarray(estimates, dtype=float).ravel()
     groups = list(groups)
@@ -96,16 +94,35 @@ def group_stats(estimates, groups, strata) -> list:
     if bad.any():
         i = int(np.argmax(bad))
         raise DataError(f"non-finite estimate {float(estimates[i])} at row {i}")
-    group_order = list(dict.fromkeys(groups))
-    stratum_order = list(dict.fromkeys(strata))
+    group_code = {g: i for i, g in enumerate(dict.fromkeys(groups))}
+    stratum_code = {st: i for i, st in enumerate(dict.fromkeys(strata))}
+    cell = np.fromiter(map(stratum_code.__getitem__, strata), np.intp, len(strata))
+    cell *= len(group_code)
+    cell += np.fromiter(map(group_code.__getitem__, groups), np.intp, len(groups))
+    # a stable sort keeps each cell's rows ascending, so a cell's slice holds
+    # the same values in the same order as a row scan, and sums to the same bits
+    order = np.argsort(cell, kind="stable")
+    bounds = np.searchsorted(cell[order], np.arange(len(stratum_code) * len(group_code) + 1))
     out = []
-    for st in stratum_order:
-        for g in group_order:
-            vals = estimates[[i for i in range(len(groups)) if groups[i] == g and strata[i] == st]]
-            if vals.size == 0:
-                raise DataError(f"empty cell: group {g!r} in stratum {st!r}")
-            out.append(GroupStats(g, st, int(vals.size), float(vals.mean()), float(vals.std())))
+    for k, (st, g) in enumerate((st, g) for st in stratum_code for g in group_code):
+        if bounds[k] == bounds[k + 1]:
+            raise DataError(f"empty cell: group {g!r} in stratum {st!r}")
+        out.append((g, st, estimates[order[bounds[k] : bounds[k + 1]]]))
     return out
+
+
+def _cell_stats(cells) -> list:
+    return [GroupStats(g, st, int(v.size), float(v.mean()), float(v.std())) for g, st, v in cells]
+
+
+def group_stats(estimates, groups, strata) -> list:
+    """Per-(group, stratum) mean and population std of the estimates.
+
+    Groups and strata keep first-appearance order. Every observed group must
+    appear in every observed stratum; an empty cell is an error naming it, and
+    so is a NaN or infinite estimate (by its 0-based row).
+    """
+    return _cell_stats(_cells(estimates, groups, strata))
 
 
 def bias_score(a: GroupStats, b: GroupStats) -> float:
@@ -156,19 +173,19 @@ def histogram(estimates, bins: int, lo: float, hi: float) -> Histogram:
     if not hi > lo:
         raise DataError(f"need hi > lo, got [{lo}, {hi}]")
     width = (hi - lo) / bins
-    counts = [0] * bins
-    clamped_low = clamped_high = 0
-    for v in estimates:
-        if v < lo:
-            counts[0] += 1
-            clamped_low += 1
-        elif v >= hi:
-            counts[bins - 1] += 1
-            if v > hi:
-                clamped_high += 1
-        else:
-            counts[int((v - lo) / width)] += 1
-    return Histogram(lo, hi, counts, clamped_low, clamped_high)
+    if not 0.0 < width < math.inf:
+        raise DataError(f"range [{lo}, {hi}] is infinite or too narrow for {bins} bins")
+    if np.isnan(estimates).any():
+        raise DataError("histogram of a NaN value")
+    low, high = estimates < lo, estimates >= hi
+    inside = estimates[~(low | high)]
+    # (v - lo) / width can round up to `bins` for v just below hi: clamp it
+    idx = np.minimum(((inside - lo) / width).astype(np.intp), bins - 1)
+    counts = np.bincount(idx, minlength=bins)
+    clamped_low = int(np.count_nonzero(low))
+    counts[0] += clamped_low
+    counts[bins - 1] += np.count_nonzero(high)
+    return Histogram(lo, hi, counts.tolist(), clamped_low, int(np.count_nonzero(estimates > hi)))
 
 
 def audit(
@@ -188,8 +205,9 @@ def audit(
     groups present). For regression studies pass the true target values as
     `true_values` to record the data's own group gap alongside the model's.
     """
-    stats = group_stats(estimates, groups, strata)
-    group_order = list(dict.fromkeys(groups))
+    cells = _cells(estimates, groups, strata)
+    stats = _cell_stats(cells)
+    group_order = list(dict.fromkeys(s.group for s in stats))
     if group_pair is None:
         if len(group_order) != 2:
             raise DataError(
@@ -201,14 +219,8 @@ def audit(
         raise DataError(f"group_pair {group_pair!r} not present in the data")
     table = _pair_rows(stats, ga, gb)
 
-    estimates = np.asarray(estimates, dtype=float).ravel()
     lo, hi = value_range
-    hists = []
-    for s in stats:
-        vals = estimates[
-            [i for i in range(len(groups)) if groups[i] == s.group and strata[i] == s.stratum]
-        ]
-        hists.append((s.group, s.stratum, histogram(vals, bins, lo, hi)))
+    hists = [(g, st, histogram(vals, bins, lo, hi)) for g, st, vals in cells]
 
     true_table = None
     if true_values is not None:

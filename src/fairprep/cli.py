@@ -10,7 +10,6 @@ reruns with the same inputs and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -40,6 +39,7 @@ from .tabular import (
     drop_columns,
     load_csv,
     load_schema,
+    read_csv_columns,
     write_csv,
 )
 
@@ -190,21 +190,19 @@ def _cmd_debias(args) -> int:
 
 def _cmd_audit(args) -> int:
     path = Path(args.estimates)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    if not rows:
+    header, columns = read_csv_columns(path)
+    if not any(columns):
         raise DataError(f"{path}: no data rows")
+    index = {name: i for i, name in enumerate(header)}  # a repeated name reads its last column
     for col in ["estimate", args.groups] + ([args.strata] if args.strata else []):
-        if col not in rows[0]:
+        if col not in index:
             raise DataError(f"{path}: missing column {col!r}")
     try:
-        estimates = [float(r["estimate"]) for r in rows]
+        estimates = np.array(columns[index["estimate"]], dtype=float)
     except ValueError as exc:
         raise DataError(f"{path}: unparseable estimate: {exc}") from None
-    groups = [r[args.groups] for r in rows]
-    strata = [r[args.strata] for r in rows] if args.strata else ["all"] * len(rows)
+    groups = columns[index[args.groups]]
+    strata = columns[index[args.strata]] if args.strata else ["all"] * len(groups)
     pair = None
     if args.group_pair:
         parts = [p.strip() for p in args.group_pair.split(",")]

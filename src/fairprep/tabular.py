@@ -12,10 +12,10 @@ features.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
 
@@ -240,52 +240,78 @@ def _parse_column(spec: ColumnSpec, raw) -> np.ndarray:
     return values
 
 
+def read_csv_columns(path) -> tuple:
+    """The header of a UTF-8 CSV file and one list of cell strings per header column.
+
+    Blank lines are skipped, as `csv.DictReader` skips them. A missing file is
+    a FileNotFoundError; an empty file, bytes that are not UTF-8, or a row
+    whose cell count differs from the header's is a DataError naming the file.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(filter(None, reader))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if set(map(len, rows)) - {len(header)}:
+        bad = next(row for row in rows if len(row) != len(header))
+        raise DataError(f"{path}: row with {len(bad)} cells, expected {len(header)}")
+    # one list per column, not a tuple per row: far fewer objects for the collector to scan
+    return header, [list(map(itemgetter(i), rows)) for i in range(len(header))]
+
+
 def load_csv(path, schema) -> DataTable:
     """Read a comma-separated, header-first file into a DataTable.
 
     The header must contain exactly the schema's names (any order).
     Unparseable cells become missing rather than failing the load.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        if len(set(header)) != len(header):
-            raise SchemaError(f"{path}: duplicate header names")
-        names = [s.name for s in schema]
-        if set(header) != set(names):
-            missing = sorted(set(names) - set(header))
-            extra = sorted(set(header) - set(names))
-            raise SchemaError(
-                f"{path}: header does not match schema (missing {missing}, unexpected {extra})"
-            )
-        rows = list(reader)
-    for row in rows:
-        if len(row) != len(header):
-            raise DataError(f"{path}: row with {len(row)} cells, expected {len(header)}")
-    raw = dict(zip(header, zip(*rows))) if rows else {n: () for n in header}
+    header, columns = read_csv_columns(path)
+    if len(set(header)) != len(header):
+        raise SchemaError(f"{path}: duplicate header names")
+    names = [s.name for s in schema]
+    if set(header) != set(names):
+        missing = sorted(set(names) - set(header))
+        extra = sorted(set(header) - set(names))
+        raise SchemaError(
+            f"{path}: header does not match schema (missing {missing}, unexpected {extra})"
+        )
+    raw = dict(zip(header, columns))
     return DataTable.from_arrays(schema, {s.name: _parse_column(s, raw[s.name]) for s in schema})
+
+
+def _field(text: str) -> str:
+    """`text` as one CSV field: quoted, with inner quotes doubled, if it holds `,`, `"`, CR or LF."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def _cell_texts(spec: ColumnSpec, arr) -> list:
     if spec.kind == "numeric":  # NaN, the only non-finite value stored, marks a missing cell
         return ["" if text == "nan" else text for text in map(repr, arr.tolist())]
-    return np.array([str(c) for c in spec.categories] + [""], dtype=object)[arr].tolist()
+    return np.array([_field(str(c)) for c in spec.categories] + [""], dtype=object)[arr].tolist()
 
 
 def write_csv(table: DataTable, path) -> None:
-    """Write the table back to CSV; missing cells become empty fields."""
+    """Write the table back to CSV, header first, with "\\n" line ends.
+
+    Missing cells become empty fields, written `""` in a one-column table so
+    that no line is blank. Header names and category labels are quoted as
+    `_field` says; a number never needs quoting.
+    """
     from .ioutil import atomic_write_text
 
-    columns = [_cell_texts(s, table.array(s.name)) for s in table.schema]
-    sink = io.StringIO()
-    csv.writer(sink, lineterminator="\n").writerows([table.column_names, *zip(*columns)])
-    atomic_write_text(path, sink.getvalue())
+    columns = [[_field(s.name), *_cell_texts(s, table.array(s.name))] for s in table.schema]
+    if len(columns) == 1:
+        columns = [[text or '""' for text in columns[0]]]
+    atomic_write_text(path, "\n".join(map(",".join, zip(*columns))) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,15 @@
 Nothing here shares code with fairprep's fitting paths: the percentile rule
 is recomputed from its definition, gradients come from central differences,
 logistic regression from IRLS, and ridge regression from plain gradient
-descent with an explicitly safe step size. The one exception is
-`reference_debias_training`, which keeps the adversarial training loop in its
-plain form on top of fairprep's own kernels, so that the optimized loop can be
-compared with it bit for bit.
+descent with an explicitly safe step size. The exceptions keep a loop in its
+plain form so that fairprep's vectorised path can be compared with it bit for
+bit: `reference_debias_training` runs the adversarial training loop on top of
+fairprep's own kernels, `reference_group_stats` and `reference_histogram` scan
+every row per audit cell, and `reference_csv_text` writes through `csv.writer`.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -172,3 +175,59 @@ def reference_debias_training(table, cfg):
         trace.adversary_loss.append(adv_epoch)
         trace.combined_loss.append(recon_epoch - lam * adv_epoch)
     return encoder, decoder, adversary, trace
+
+
+def reference_group_stats(estimates, groups, strata):
+    """Per-cell (group, stratum, values) by a scan over every row, strata outer, groups inner.
+
+    Raises fairprep's DataError with the audit's text for the first empty cell.
+    """
+    from fairprep.tabular import DataError
+
+    estimates = np.asarray(estimates, dtype=float).ravel()
+    cells = []
+    for st in dict.fromkeys(strata):
+        for g in dict.fromkeys(groups):
+            vals = estimates[[i for i in range(len(groups)) if groups[i] == g and strata[i] == st]]
+            if vals.size == 0:
+                raise DataError(f"empty cell: group {g!r} in stratum {st!r}")
+            cells.append((g, st, vals))
+    return cells
+
+
+def reference_histogram(values, bins, lo, hi):
+    """(counts, clamped_low, clamped_high) by a loop over the values.
+
+    A bin index that rounds up to `bins`, for a value just below hi, goes to
+    the last bin.
+    """
+    width = (hi - lo) / bins
+    counts = [0] * bins
+    clamped_low = clamped_high = 0
+    for v in values:
+        if v < lo:
+            counts[0] += 1
+            clamped_low += 1
+        elif v >= hi:
+            counts[bins - 1] += 1
+            if v > hi:
+                clamped_high += 1
+        else:
+            counts[min(int((v - lo) / width), bins - 1)] += 1
+    return counts, clamped_low, clamped_high
+
+
+def reference_csv_text(names, rows):
+    """The text of `csv.writer` with minimal quoting and "\\n" line ends, CR also quoted.
+
+    `csv.writer` quotes a field that holds a character of its line terminator,
+    so each row is written with "\\r\\n" and that terminator is then swapped
+    for "\\n". For fields without a CR this is `csv.writer(sink,
+    lineterminator="\\n")` byte for byte.
+    """
+    lines = []
+    for row in [names, *rows]:
+        sink = io.StringIO()
+        csv.writer(sink, lineterminator="\r\n").writerow(row)
+        lines.append(sink.getvalue()[:-2] + "\n")
+    return "".join(lines)

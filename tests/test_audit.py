@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fairprep.audit import (
@@ -19,6 +20,7 @@ from fairprep.audit import (
 from fairprep.mlcore import derive_rng
 from fairprep.tabular import DataError
 
+import oracles
 import reference_tables as ref
 
 
@@ -139,6 +141,100 @@ def test_histogram_empty_input_error():
 def test_histogram_conserves_n(values, bins):
     h = histogram(values, bins, 0.0, 1.0)
     assert sum(h.counts) == len(values)
+
+
+def test_histogram_value_just_below_hi_lands_in_last_bin():
+    # (v - lo) / width rounds up to `bins` for these bin counts
+    v = math.nextafter(1.0, -math.inf)
+    for bins in (3, 6, 7, 9):
+        h = histogram([v], bins, 0.0, 1.0)
+        assert h.counts == [0] * (bins - 1) + [1]
+        assert h.clamped_low == h.clamped_high == 0
+
+
+def test_histogram_rejects_a_range_or_value_it_cannot_bin():
+    for lo, hi, bins in ((0.0, 5e-324, 2), (0.0, math.inf, 4), (-math.inf, 1.0, 4)):
+        with pytest.raises(DataError, match="infinite or too narrow"):
+            histogram([0.5], bins, lo, hi)
+    with pytest.raises(DataError, match="NaN"):
+        histogram([0.5, math.nan], 4, 0.0, 1.0)
+
+
+_BOUND = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _histogram_cases(draw):
+    lo, hi = sorted((draw(_BOUND), draw(_BOUND)))
+    bins = draw(st.integers(1, 60))
+    assume(hi > lo and (hi - lo) / bins > 0)
+    edges = st.sampled_from(
+        (lo, hi, math.nextafter(hi, -math.inf), math.nextafter(lo, math.inf), lo - 1.0, hi + 1.0)
+    )
+    values = draw(st.lists(edges | st.floats(lo - 1.0, hi + 1.0), min_size=1, max_size=40))
+    return lo, hi, bins, values
+
+
+@settings(max_examples=200)
+@given(_histogram_cases())
+def test_property_histogram_counts_every_value_once(case):
+    lo, hi, bins, values = case
+    h = histogram(values, bins, lo, hi)
+    assert sum(h.counts) == len(values)
+    expected = oracles.reference_histogram(values, bins, lo, hi)
+    assert (h.counts, h.clamped_low, h.clamped_high) == expected
+
+
+_AUDIT_LABELS = st.sampled_from(["a", "b", "", 0, 1, 7, None])
+
+
+@st.composite
+def _audit_cases(draw):
+    """Estimates in shuffled rows over every (group, stratum) cell, sometimes with one cell empty."""
+    group_set = draw(st.lists(_AUDIT_LABELS, min_size=1, max_size=3, unique=True))
+    stratum_set = draw(st.lists(_AUDIT_LABELS, min_size=1, max_size=3, unique=True))
+    cells = [(g, s) for s in stratum_set for g in group_set]
+    empty = draw(st.none() | st.sampled_from(cells)) if len(cells) > 1 else None
+    rows = [cell for cell in cells if cell != empty for _ in range(draw(st.integers(1, 6)))]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    value = st.floats(-1e3, 1e3) | st.sampled_from((0.0, -0.0, 1.0, math.nextafter(1.0, 0.0)))
+    estimates = draw(st.lists(value, min_size=len(rows), max_size=len(rows)))
+    return estimates, [g for g, _ in rows], [s for _, s in rows], draw(st.integers(1, 12))
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@settings(max_examples=200)
+@given(_audit_cases())
+def test_property_audit_matches_the_row_scan_reference_bit_for_bit(case):
+    estimates, groups, strata, bins = case
+    try:
+        expected = oracles.reference_group_stats(estimates, groups, strata)
+    except DataError as exc:
+        for run in (lambda: group_stats(estimates, groups, strata),
+                    lambda: audit(estimates, groups, strata, group_pair=(groups[0], groups[0]))):
+            with pytest.raises(DataError) as raised:
+                run()
+            assert str(raised.value) == str(exc)
+        return
+    stats = group_stats(estimates, groups, strata)
+    assert [(type(s.group), s.group, type(s.stratum), s.stratum) for s in stats] == [
+        (type(g), g, type(st_), st_) for g, st_, _ in expected
+    ]
+    for s, (_, _, vals) in zip(stats, expected):
+        assert s.n == vals.size
+        assert _bits(s.mu) == _bits(float(vals.mean()))
+        assert _bits(s.sigma) == _bits(float(vals.std()))
+    group_order = list(dict.fromkeys(groups))
+    report = audit(estimates, groups, strata, group_pair=(group_order[0], group_order[-1]), bins=bins)
+    assert [(s.group, s.stratum, s.n, _bits(s.mu), _bits(s.sigma)) for s in report.stats] == [
+        (s.group, s.stratum, s.n, _bits(s.mu), _bits(s.sigma)) for s in stats
+    ]
+    assert [(g, st_, h.counts, h.clamped_low, h.clamped_high) for g, st_, h in report.histograms] == [
+        (g, st_, *oracles.reference_histogram(vals, bins, 0.0, 1.0)) for g, st_, vals in expected
+    ]
 
 
 def _small_report():

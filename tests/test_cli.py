@@ -136,6 +136,45 @@ def test_audit_exit_codes(tmp_path, capsys):
         assert _run(["audit", "--estimates", nonfinite, "--groups", "g"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "row 1" in err
+    ragged = tmp_path / "ragged.csv"
+    ragged.write_text("group,estimate\na,0.5\nb\n")
+    capsys.readouterr()
+    assert _run(["audit", "--estimates", ragged, "--groups", "group"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "row with 1 cells, expected 2" in err
+
+
+def test_audit_value_just_below_the_range_top_exits_zero(tmp_path):
+    est = tmp_path / "est.csv"
+    est.write_text(
+        "group,stratum,estimate\n"
+        "a,s,0.9999999999999999\na,s,0.2\nb,s,0.5\nb,s,0.7\n"
+        "a,t,0.1\nb,t,0.9999999999999999\n"
+    )
+    report = tmp_path / "report.json"
+    assert _run(["audit", "--estimates", est, "--groups", "group", "--strata", "stratum",
+                 "--bins", 3, "--report", report]) == 0
+    hists = json.loads(report.read_text())["histograms"]
+    assert [h["counts"] for h in hists] == [[1, 0, 1], [0, 1, 1], [1, 0, 0], [0, 0, 1]]
+
+
+def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, small_csv):
+    est = tmp_path / "est.csv"
+    est.write_bytes(b"estimate,g\n0.5,a\n0.6,\xff\n")
+    csv_path, schema_path = small_csv
+    data = tmp_path / "input.csv"
+    data.write_bytes(csv_path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    for argv, path in (
+        (["audit", "--estimates", est, "--groups", "g"], est),
+        (["debias", "--input", data, "--schema", schema_path, "--protected", "grp",
+          "--output", tmp_path / "out.csv", "--epochs", 1], data),
+    ):
+        capsys.readouterr()
+        assert _run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1
+        assert str(path) in err and "UTF-8" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys, small_csv):

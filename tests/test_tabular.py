@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairprep.tabular import (
+    KINDS,
     ColumnSpec,
     DataError,
     DataTable,
@@ -184,6 +185,73 @@ def test_property_csv_round_trip_is_byte_stable(drawn):
         assert [row[header.index(name)] == "" for row in rows] == [v is None for v in values]
         assert back.column(name) == values
         assert [type(v) for v in back.column(name)] == [type(v) for v in values]
+
+
+_QUOTING_TEXT = st.text(st.sampled_from(list('ab ,"\r\n')), max_size=4)
+
+
+@st.composite
+def _quoting_tables(draw):
+    """One to three columns of any kind; names and labels hold quotes, commas, CR, LF or nothing."""
+    names = draw(st.lists(_QUOTING_TEXT, min_size=1, max_size=3, unique=True))
+    n = draw(st.integers(0, 8))
+    schema, columns = [], {}
+    for name in names:
+        kind = draw(st.sampled_from(KINDS))
+        categories = ()
+        if kind == "categorical":
+            categories = tuple(draw(st.lists(_QUOTING_TEXT, min_size=1, max_size=4, unique=True)))
+            cells = st.none() | st.sampled_from(categories)
+        elif kind == "binary":
+            cells = st.sampled_from((None, 0, 1))
+        else:
+            cells = st.none() | st.floats(allow_nan=False, allow_infinity=False)
+        schema.append(ColumnSpec(name, kind, categories=categories))
+        columns[name] = draw(st.lists(cells, min_size=n, max_size=n))
+    return DataTable(schema, columns)
+
+
+@settings(max_examples=150)
+@given(_quoting_tables())
+def test_property_write_csv_matches_csv_writer(table):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(table, path)
+        text = path.read_bytes().decode("utf-8")
+    rows = zip(*(table.column(name) for name in table.column_names))
+    assert text == oracles.reference_csv_text(table.column_names, rows)
+
+
+def test_write_csv_one_column_writes_a_missing_cell_as_quotes(tmp_path):
+    table = DataTable([ColumnSpec("x", "numeric")], {"x": [1.0, None, 2.5]})
+    write_csv(table, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b'x\n1.0\n""\n2.5\n'
+    assert load_csv(tmp_path / "t.csv", table.schema).column("x") == [1.0, None, 2.5]
+
+
+def test_write_csv_quotes_a_carriage_return_so_the_file_reads_back(tmp_path):
+    schema = [ColumnSpec("label", "categorical", categories=("a\rb", "c")), ColumnSpec("x", "numeric")]
+    table = DataTable(schema, {"label": ["a\rb", "c"], "x": [1.0, 2.0]})
+    write_csv(table, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == b'label,x\n"a\rb",1.0\nc,2.0\n'
+    assert load_csv(tmp_path / "t.csv", schema).column("label") == ["a\rb", "c"]
+
+
+def test_load_csv_skips_blank_lines_and_rejects_ragged_rows(tmp_path):
+    schema = [ColumnSpec("a", "numeric"), ColumnSpec("b", "numeric")]
+    p = tmp_path / "t.csv"
+    p.write_text("a,b\n1,2\n\n3,4\n\n")
+    assert load_csv(p, schema).column("a") == [1.0, 3.0]
+    p.write_text("a,b\n1,2\n3\n4,5,6\n")
+    with pytest.raises(DataError, match="row with 1 cells, expected 2"):
+        load_csv(p, schema)
+
+
+def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path):
+    p = tmp_path / "t.csv"
+    p.write_bytes(b"a,b\n1,\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_csv(p, [ColumnSpec("a", "numeric"), ColumnSpec("b", "numeric")])
 
 
 def test_schema_file_round_trip(tmp_path, toy_table):
