@@ -9,6 +9,8 @@ The runs use the checkout this script sits in:
 - `fairprep debias` with `--report`, `--model-out` and `--trace-csv` on a
   generated 300-row CSV that has a 3-category protected column, a drop-role
   `id` column and one missing numeric cell;
+- the model that run saved, read back with `load_debias_model`, applied by
+  `transform` to the same input and written with `write_csv`;
 - `fairprep audit --report` on a generated 400-row estimates file;
 - `scripts/make_bundled_data.py`, run in a copy of the checkout: every file
   it writes under `data/`.
@@ -36,9 +38,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from fairprep.cli import main as cli_main  # noqa: E402
+from fairprep.debias import load_debias_model, transform  # noqa: E402
 from fairprep.ioutil import write_json  # noqa: E402
 from fairprep.studies import StudyConfig, run_study  # noqa: E402
 from fairprep.synth import SyntheticSpec, synth_check  # noqa: E402
+from fairprep.tabular import ColumnSpec, drop_columns, load_csv, write_csv  # noqa: E402
 
 STUDY_NAMES = ["compas", "absenteeism", "heart", "passnyc", "communities"]
 CLI_SCHEMA = [
@@ -90,6 +94,9 @@ def run_all(out: Path) -> None:
             code = cli_main([str(a) for a in argv])
         if code != 0:
             raise SystemExit(f"fairprep {argv[0]} exited {code}")
+    model = load_debias_model(cli / "model.json")
+    people = load_csv(cli / "people.csv", [ColumnSpec("id", "numeric", "drop"), *model.schema])
+    write_csv(transform(model, drop_columns(people, ["id"])), cli / "reloaded.csv")
 
     copy = out / "checkout"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))

@@ -22,7 +22,6 @@ characteristic can no longer be recovered from it.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
@@ -32,18 +31,19 @@ from numbers import Integral
 import numpy as np
 
 from . import mlcore
-from .ioutil import write_json, atomic_write_text
+from .ioutil import atomic_write_text, read_json, write_json
 from .mlcore import (
     Mlp,
     TrainConfig,
     TrainingDivergedError,
+    _row_max,
+    _row_sum,
     adam_init,
     adam_step,
     derive_rng,
     mlp_backward,
     mlp_forward,
     mlp_init,
-    softmax,
     softmax_cross_entropy,
     squared_error,
 )
@@ -135,13 +135,19 @@ def _summed_loss(pred, target, blocks):
 def _heads_grad(logits, onehot, heads):
     """d(summed softmax cross-entropy)/d logits over the heads, without the loss value.
 
-    Bit for bit the gradient `_summed_loss` returns for the same heads; the
-    heads must cover every column.
+    Bit for bit the gradient `_summed_loss` returns for the same heads: the
+    same operations in the same order, done in place in each head's block of
+    the result. The heads must be column slices that cover every column.
     """
     n = logits.shape[0]
     grad = np.empty_like(logits)
     for cols, _ in heads:
-        grad[:, cols] = (softmax(logits[:, cols]) - onehot[:, cols]) / n
+        z, g = logits[:, cols], grad[:, cols]
+        np.subtract(z, _row_max(z), out=g)
+        np.exp(g, out=g)
+        g /= _row_sum(g)
+        g -= onehot[:, cols]
+        g /= n
     return grad
 
 
@@ -251,7 +257,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
                 for _ in range(cfg.adversary_steps):
                     cache_a, logits = mlp_forward(adversary, z)
                     g_adv = _heads_grad(logits, Yb, adv_blocks)
-                    grads_a, _ = mlp_backward(adversary, cache_a, g_adv)
+                    grads_a, _ = mlp_backward(adversary, cache_a, g_adv, input_grad=False)
                     adam_step(adversary, grads_a, st_adv, cfg.learning_rate)
 
                 cache_d, recon = mlp_forward(decoder, z)
@@ -260,7 +266,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
                 cache_a, logits = mlp_forward(adversary, z)
                 loss_a, g_adv = _summed_loss(logits, Yb, adv_blocks)
                 _, dz_adv = mlp_backward(adversary, cache_a, g_adv)  # adversary params frozen here
-                grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
+                grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv, input_grad=False)
                 adam_step(decoder, grads_d, st_dec, cfg.learning_rate)
                 adam_step(encoder, grads_e, st_enc, cfg.learning_rate)
 
@@ -391,8 +397,7 @@ def save_debias_model(model: DebiasModel, path) -> None:
 def load_debias_model(path) -> DebiasModel:
     from .tabular import DesignColumn, schema_from_jsonable
 
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(path)
     schema = schema_from_jsonable(data["schema"])
     by_name = {s.name: s for s in schema}
     column_map = []

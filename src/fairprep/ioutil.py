@@ -1,4 +1,4 @@
-"""Shared IO helpers: canonical JSON and atomic file writes."""
+"""Shared IO helpers: canonical JSON, atomic file writes and UTF-8 JSON reads."""
 
 from __future__ import annotations
 
@@ -61,3 +61,14 @@ def atomic_write_text(path, text: str) -> None:
 
 def write_json(path, obj) -> None:
     atomic_write_text(path, canonical_json(obj))
+
+
+def read_json(path):
+    """The JSON value in a UTF-8 file; bytes that are not UTF-8 are a DataError naming the file."""
+    from .tabular import DataError
+
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None

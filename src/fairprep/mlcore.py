@@ -148,13 +148,40 @@ def softmax_cross_entropy(logits, onehot):
 
 @dataclass
 class Mlp:
-    """Fully connected net; weights[l] has shape (dims[l], dims[l+1])."""
+    """Fully connected net; weights[l] has shape (dims[l], dims[l+1]).
+
+    All parameters live in one float64 vector, `params`, in layer order
+    weights[0], biases[0], weights[1], ...; `weights` and `biases` are views
+    into it, so an update of `params` is an update of every layer. The given
+    arrays are copied in, and each must have its layer's shape.
+    """
 
     dims: tuple
     weights: list
     biases: list
     hidden_activation: str = "tanh"
     output_activation: str = "identity"
+    params: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        n_layers = len(self.dims) - 1
+        if len(self.weights) != n_layers or len(self.biases) != n_layers:
+            raise ValueError(f"dims {tuple(self.dims)} need {n_layers} weight and bias arrays, "
+                             f"got {len(self.weights)} and {len(self.biases)}")
+        shapes = [s for i, o in zip(self.dims, self.dims[1:]) for s in ((i, o), (o,))]
+        given = [a for pair in zip(self.weights, self.biases) for a in pair]
+        self.params = np.empty(sum(math.prod(s) for s in shapes))
+        views, start = [], 0
+        for k, (arr, shape) in enumerate(zip(given, shapes)):
+            arr = np.asarray(arr, dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{('weights', 'biases')[k % 2]}[{k // 2}] has shape "
+                                 f"{arr.shape}, dims need {shape}")
+            view = self.params[start : start + arr.size].reshape(shape)
+            view[...] = arr
+            views.append(view)
+            start += arr.size
+        self.weights, self.biases = views[0::2], views[1::2]
 
 
 def mlp_init(dims, hidden_activation="tanh", output_activation="identity", rng=None) -> Mlp:
@@ -176,14 +203,6 @@ def mlp_init(dims, hidden_activation="tanh", output_activation="identity", rng=N
     return Mlp(dims, weights, biases, hidden_activation, output_activation)
 
 
-def n_parameters(net: Mlp) -> int:
-    return sum(w.size + b.size for w, b in zip(net.weights, net.biases))
-
-
-def _hidden(net: Mlp, z):
-    return np.tanh(z) if net.hidden_activation == "tanh" else np.maximum(z, 0.0)
-
-
 def mlp_forward(net: Mlp, X):
     """Forward pass; returns (cache, output). The cache feeds mlp_backward."""
     X = np.asarray(X, dtype=float)
@@ -196,10 +215,11 @@ def mlp_forward(net: Mlp, X):
     a = X
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w + b
+        z = a @ w
+        z += b
         pre.append(z)
         if l < last:
-            a = _hidden(net, z)
+            a = np.tanh(z) if net.hidden_activation == "tanh" else np.maximum(z, 0.0)
         elif net.output_activation == "sigmoid":
             a = sigmoid(z)
         elif net.output_activation == "softmax":
@@ -210,13 +230,14 @@ def mlp_forward(net: Mlp, X):
     return (activations, pre), activations[-1]
 
 
-def mlp_backward(net: Mlp, cache, output_grad):
+def mlp_backward(net: Mlp, cache, output_grad, *, input_grad=True):
     """Backpropagate d(loss)/d(output) through the net.
 
     Returns (param_grads, input_grad) where param_grads is a list of (dW, db)
     matching net.weights/net.biases, and input_grad is d(loss)/d(input) --
     needed to couple networks (the debiaser feeds one net's input gradient
-    into another's output).
+    into another's output). With input_grad=False the layer-0 input gradient
+    is not computed and None is returned in its place.
     """
     activations, pre = cache
     if len(activations) != len(net.weights) + 1:
@@ -232,57 +253,45 @@ def mlp_backward(net: Mlp, cache, output_grad):
     else:
         dz = g
     param_grads = [None] * len(net.weights)
-    for l in range(len(net.weights) - 1, -1, -1):
-        a_prev = activations[l]
-        param_grads[l] = (a_prev.T @ dz, dz.sum(axis=0))
+    for l in range(len(net.weights) - 1, 0, -1):
+        param_grads[l] = (activations[l].T @ dz, dz.sum(axis=0))
         da = dz @ net.weights[l].T
-        if l > 0:
-            if net.hidden_activation == "tanh":
-                dz = np.square(activations[l])
-                np.subtract(1.0, dz, out=dz)
-                dz *= da
-            else:
-                dz = da * (pre[l - 1] > 0.0)
+        if net.hidden_activation == "tanh":
+            dz = np.square(activations[l])
+            np.subtract(1.0, dz, out=dz)
+            dz *= da
         else:
-            dz = da
-    return param_grads, dz
-
-
-def sgd_step(net: Mlp, param_grads, lr: float) -> None:
-    for (w, b), (dw, db) in zip(zip(net.weights, net.biases), param_grads):
-        w -= lr * dw
-        b -= lr * db
+            dz = da * (pre[l - 1] > 0.0)
+    param_grads[0] = (activations[0].T @ dz, dz.sum(axis=0))
+    return param_grads, (dz @ net.weights[0].T if input_grad else None)
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    """First and second moment estimates, flat vectors laid out like `Mlp.params`."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
 
 def adam_init(net: Mlp) -> AdamState:
-    return AdamState(
-        m=[(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)],
-        v=[(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)],
-    )
+    return AdamState(m=np.zeros_like(net.params), v=np.zeros_like(net.params))
 
 
 def adam_step(net: Mlp, param_grads, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """One Adam update of all of `net.params` from the (dW, db) pairs of mlp_backward."""
     state.t += 1
     b1t = 1.0 - beta1 ** state.t
     b2t = 1.0 - beta2 ** state.t
-    for l, (dw, db) in enumerate(param_grads):
-        for params, grad, m, v in (
-            (net.weights[l], dw, state.m[l][0], state.v[l][0]),
-            (net.biases[l], db, state.m[l][1], state.v[l][1]),
-        ):
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            params -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+    grad = np.concatenate([g.ravel() for pair in param_grads for g in pair])
+    m, v = state.m, state.v
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    net.params -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
 
 
 # ---------------------------------------------------------------------------

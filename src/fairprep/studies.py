@@ -8,7 +8,6 @@ table differs, and both reports carry the same config digest as proof.
 from __future__ import annotations
 
 import hashlib
-import json
 import statistics
 import urllib.request
 from dataclasses import dataclass, field, fields
@@ -19,7 +18,7 @@ import numpy as np
 from . import audit as audit_mod
 from . import mlcore
 from .debias import DebiasConfig, train_debiaser, transform
-from .ioutil import canonical_json, to_jsonable, write_json
+from .ioutil import canonical_json, read_json, to_jsonable, write_json
 from .mlcore import TrainConfig
 from .tabular import (
     DataError,
@@ -109,8 +108,7 @@ class StudyConfig:
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
         path = Path(path)
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        data = read_json(path)
         base = path.parent
         _check_block(data, STUDY_KEYS, path.name)
         model = _check_block(data["model"], MODEL_KEYS, f"{path.name}: model")

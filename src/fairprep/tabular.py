@@ -12,7 +12,6 @@ features.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -211,8 +210,9 @@ def schema_from_jsonable(data) -> list:
 
 
 def load_schema(path) -> list:
-    with open(path, "r", encoding="utf-8") as fh:
-        return schema_from_jsonable(json.load(fh))
+    from .ioutil import read_json
+
+    return schema_from_jsonable(read_json(path))
 
 
 def save_schema(schema, path) -> None:
@@ -232,7 +232,9 @@ def _parse_column(spec: ColumnSpec, raw) -> np.ndarray:
     """Stored-form array of one column of CSV cells; unparseable cells become missing."""
     if spec.kind == "categorical":
         codes = {c: i for i, c in enumerate(spec.categories) if c not in MISSING_TOKENS}
-        return np.array([codes.get(r.strip(), -1) for r in raw], dtype=np.intp)
+        # the exact cell first, so a label with outer spaces reads back as itself
+        return np.array([c if (c := codes.get(r)) is not None else codes.get(r.strip(), -1)
+                         for r in raw], dtype=np.intp)
     values = np.array([_float_or_nan(r) for r in raw], dtype=float)  # "" and "NA" give NaN
     values[~np.isfinite(values)] = np.nan
     if spec.kind == "binary":

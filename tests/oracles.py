@@ -5,8 +5,10 @@ is recomputed from its definition, gradients come from central differences,
 logistic regression from IRLS, and ridge regression from plain gradient
 descent with an explicitly safe step size. The exceptions keep a loop in its
 plain form so that fairprep's vectorised path can be compared with it bit for
-bit: `reference_debias_training` runs the adversarial training loop on top of
-fairprep's own kernels, `reference_group_stats` and `reference_histogram` scan
+bit: `reference_adam_step` updates one tensor at a time,
+`reference_debias_training` runs the adversarial training loop on top of
+fairprep's forward and backward passes and that per-tensor Adam,
+`reference_group_stats` and `reference_histogram` scan
 every row per audit cell, and `reference_csv_text` writes through `csv.writer`.
 """
 
@@ -109,15 +111,42 @@ def gd_ridge(X, y, lam, max_iter=200_000, tol=1e-13):
     return theta[:d], theta[d]
 
 
+def reference_adam_init(net):
+    """Per-tensor Adam state: (m, v) lists of (weights, biases) moment pairs, and t = 0."""
+    pairs = list(zip(net.weights, net.biases))
+    return {"m": [(np.zeros_like(w), np.zeros_like(b)) for w, b in pairs],
+            "v": [(np.zeros_like(w), np.zeros_like(b)) for w, b in pairs],
+            "t": 0}
+
+
+def reference_adam_step(net, param_grads, state, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update, one tensor at a time, of net.weights and net.biases in place."""
+    state["t"] += 1
+    b1t = 1.0 - beta1 ** state["t"]
+    b2t = 1.0 - beta2 ** state["t"]
+    for l, (dw, db) in enumerate(param_grads):
+        for params, grad, m, v in (
+            (net.weights[l], dw, state["m"][l][0], state["v"][l][0]),
+            (net.biases[l], db, state["m"][l][1], state["v"][l][1]),
+        ):
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            params -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+
+
 def reference_debias_training(table, cfg):
     """The debiaser's training loop without shortcuts; returns (encoder, decoder, adversary, trace).
 
-    The encoder forward is recomputed on every adversary step, and every step
-    takes the full summed loss and its gradient. Same initialisation, batch
-    order and update order as `fairprep.debias.train_debiaser`.
+    The encoder forward is recomputed on every adversary step, every step
+    takes the full summed loss and its gradient, every backward pass computes
+    the input gradient, and Adam updates one tensor at a time. Same
+    initialisation, batch order and update order as
+    `fairprep.debias.train_debiaser`.
     """
     from fairprep import debias
-    from fairprep.mlcore import adam_init, adam_step, derive_rng, mlp_backward, mlp_forward, mlp_init
+    from fairprep.mlcore import derive_rng, mlp_backward, mlp_forward, mlp_init
     from fairprep.tabular import encode
 
     names = [s.name for s in table.specs_with_role("protected")]
@@ -132,7 +161,7 @@ def reference_debias_training(table, cfg):
     decoder = mlp_init([latent, hidden, d], "tanh", "identity", derive_rng(cfg.seed, "decoder"))
     adversary = mlp_init([latent, adv_hidden, targets.shape[1]], "tanh", "identity",
                          derive_rng(cfg.seed, "adversary"))
-    st_enc, st_dec, st_adv = adam_init(encoder), adam_init(decoder), adam_init(adversary)
+    st_enc, st_dec, st_adv = (reference_adam_init(net) for net in (encoder, decoder, adversary))
     recon_blocks = debias._reconstruction_blocks(mat.column_map)
     shuffler = derive_rng(cfg.seed, "batches")
     lam, lr = cfg.adversary_weight, cfg.learning_rate
@@ -153,7 +182,7 @@ def reference_debias_training(table, cfg):
                 cache_a, logits = mlp_forward(adversary, z)
                 _, g_adv = debias._summed_loss(logits, Yb, adv_blocks)
                 grads_a, _ = mlp_backward(adversary, cache_a, g_adv)
-                adam_step(adversary, grads_a, st_adv, lr)
+                reference_adam_step(adversary, grads_a, st_adv, lr)
 
             cache_e, z = mlp_forward(encoder, Xb)
             cache_d, recon = mlp_forward(decoder, z)
@@ -163,8 +192,8 @@ def reference_debias_training(table, cfg):
             loss_a, g_adv = debias._summed_loss(logits, Yb, adv_blocks)
             _, dz_adv = mlp_backward(adversary, cache_a, g_adv)
             grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
-            adam_step(decoder, grads_d, st_dec, lr)
-            adam_step(encoder, grads_e, st_enc, lr)
+            reference_adam_step(decoder, grads_d, st_dec, lr)
+            reference_adam_step(encoder, grads_e, st_enc, lr)
 
             ep_recon += loss_r * len(idx)
             ep_adv += loss_a * len(idx)

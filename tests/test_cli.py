@@ -164,17 +164,24 @@ def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, small_csv):
     csv_path, schema_path = small_csv
     data = tmp_path / "input.csv"
     data.write_bytes(csv_path.read_bytes().replace(b"\n", b"\n\xff", 1))
+    schema = tmp_path / "schema.json"
+    schema.write_bytes(schema_path.read_bytes().replace(b'"proxy"', b'"pro\xffxy"'))
+    config = tmp_path / "heart.json"
+    config.write_bytes((STUDIES / "heart.json").read_bytes() + b"\xff")
     for argv, path in (
         (["audit", "--estimates", est, "--groups", "g"], est),
         (["debias", "--input", data, "--schema", schema_path, "--protected", "grp",
           "--output", tmp_path / "out.csv", "--epochs", 1], data),
+        (["debias", "--input", csv_path, "--schema", schema, "--protected", "grp",
+          "--output", tmp_path / "out.csv", "--epochs", 1], schema),
+        (["run-study", "--config", config, "--out", tmp_path / "study"], config),
     ):
         capsys.readouterr()
         assert _run(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1
         assert str(path) in err and "UTF-8" in err
-    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "study").exists()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys, small_csv):

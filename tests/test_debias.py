@@ -1,3 +1,4 @@
+import json
 import math
 import statistics
 
@@ -233,6 +234,17 @@ def test_model_serialization_round_trip(tmp_path):
     out_a = transform(model, table)
     out_b = transform(loaded, table)
     assert out_a.columns == out_b.columns
+
+
+def test_saved_model_with_a_wrong_length_bias_does_not_load(tmp_path):
+    model, _ = train_debiaser(copy_dataset(n=120), DebiasConfig(epochs=2, seed=2))
+    path = tmp_path / "model.json"
+    save_debias_model(model, path)
+    data = json.loads(path.read_text())
+    data["encoder"]["biases"][0] = [0.5]  # the encoder's first layer has 8 hidden units
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=r"biases\[0\] has shape \(1,\), dims need \(8,\)"):
+        load_debias_model(path)
 
 
 def test_trace_csv_export(tmp_path):

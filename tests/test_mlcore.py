@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from fairprep.mlcore import (
     LinearModel,
+    Mlp,
     SingularSystemError,
     TrainConfig,
     TrainingDivergedError,
@@ -23,11 +24,9 @@ from fairprep.mlcore import (
     mlp_backward,
     mlp_forward,
     mlp_init,
-    n_parameters,
     predict,
     r_squared,
     save_model,
-    sgd_step,
     sigmoid,
     softmax,
     softmax_cross_entropy,
@@ -59,7 +58,22 @@ def test_mlp_init_shapes_and_param_count():
     net = mlp_init([3, 1], rng=derive_rng(0, "t"))
     assert net.weights[0].shape == (3, 1) and net.biases[0].shape == (1,)
     net = mlp_init([4, 8, 2], rng=derive_rng(0, "t"))
-    assert n_parameters(net) == 4 * 8 + 8 + 8 * 2 + 2  # 58
+    assert net.params.size == 4 * 8 + 8 + 8 * 2 + 2  # 58
+    # one vector in layer order; weights and biases are views into it
+    layout = [net.weights[0], net.biases[0], net.weights[1], net.biases[1]]
+    assert np.array_equal(net.params, np.concatenate([a.ravel() for a in layout]))
+    net.params[:] = np.arange(58.0)
+    assert net.weights[1][0, 0] == 40.0 and net.biases[1][1] == 57.0
+
+
+def test_mlp_rejects_arrays_that_do_not_fit_its_dims():
+    w0, b0, w1, b1 = np.ones((4, 8)), np.zeros(8), np.ones((8, 2)), np.zeros(2)
+    with pytest.raises(ValueError, match=r"biases\[0\] has shape \(1,\)"):
+        Mlp((4, 8, 2), [w0, w1], [np.array([0.5]), b1])
+    with pytest.raises(ValueError, match=r"weights\[1\] has shape \(2, 8\)"):
+        Mlp((4, 8, 2), [w0, w1.T], [b0, b1])
+    with pytest.raises(ValueError, match="need 2 weight and bias arrays"):
+        Mlp((4, 8, 2), [w0], [b0])
 
 
 def test_mlp_init_same_seed_identical():
@@ -223,24 +237,56 @@ def test_backward_input_gradient_checks_numerically():
     assert input_grad[i, j] == pytest.approx(fd, rel=1e-4)
 
 
-def test_adam_and_sgd_reduce_loss():
+def test_backward_without_input_gradient_gives_the_same_parameter_gradients():
+    rng = derive_rng(18, "no-input-grad")
+    for dims, hidden in (([5, 7, 3], "tanh"), ([4, 6, 5, 2], "relu"), ([3, 2], "tanh")):
+        net = mlp_init(dims, hidden_activation=hidden, rng=rng)
+        cache, out = mlp_forward(net, rng.standard_normal((9, dims[0])))
+        grad = rng.standard_normal(out.shape)
+        full, input_grad = mlp_backward(net, cache, grad)
+        lean, none = mlp_backward(net, cache, grad, input_grad=False)
+        assert input_grad.shape == (9, dims[0]) and none is None
+        for (dw, db), (lw, lb) in zip(full, lean):
+            assert np.array_equal(dw, lw) and np.array_equal(db, lb)
+
+
+def test_adam_reduces_loss():
     rng = derive_rng(16, "opt")
     X = rng.standard_normal((32, 4))
     y = (X[:, :1] > 0).astype(float)
-    for stepper in ("adam", "sgd"):
-        net = mlp_init([4, 8, 1], output_activation="sigmoid", rng=derive_rng(17, "opt"))
-        state = adam_init(net)
-        losses = []
-        for _ in range(60):
-            cache, out = mlp_forward(net, X)
-            loss, grad = binary_cross_entropy(out, y)
-            losses.append(loss)
-            grads, _ = mlp_backward(net, cache, grad)
-            if stepper == "adam":
-                adam_step(net, grads, state, 0.01)
-            else:
-                sgd_step(net, grads, 0.5)
-        assert losses[-1] < losses[0] * 0.8
+    net = mlp_init([4, 8, 1], output_activation="sigmoid", rng=derive_rng(17, "opt"))
+    state = adam_init(net)
+    losses = []
+    for _ in range(60):
+        cache, out = mlp_forward(net, X)
+        loss, grad = binary_cross_entropy(out, y)
+        losses.append(loss)
+        grads, _ = mlp_backward(net, cache, grad)
+        adam_step(net, grads, state, 0.01)
+    assert losses[-1] < losses[0] * 0.8
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    log_scales=st.lists(st.floats(-8.0, 8.0), min_size=1, max_size=5),
+    seed=st.integers(0, 2**16),
+)
+def test_property_flat_adam_matches_the_per_tensor_reference_bit_for_bit(dims, log_scales, seed):
+    rng = derive_rng(seed, "adam-property")
+    net = mlp_init(dims, rng=rng)
+    ref = Mlp(net.dims, net.weights, net.biases)
+    state, ref_state = adam_init(net), oracles.reference_adam_init(ref)
+    for log_scale in log_scales:  # one step per gradient scale, from 1e-8 to 1e8
+        grads = [(10.0 ** log_scale * rng.standard_normal(w.shape),
+                  10.0 ** log_scale * rng.standard_normal(b.shape))
+                 for w, b in zip(net.weights, net.biases)]
+        adam_step(net, grads, state, 0.01)
+        oracles.reference_adam_step(ref, grads, ref_state, 0.01)
+        assert np.array_equal(net.params, ref.params)
+        flat_moments = [np.concatenate([a.ravel() for pair in moments for a in pair])
+                        for moments in (ref_state["m"], ref_state["v"])]
+        assert np.array_equal(state.m, flat_moments[0]) and np.array_equal(state.v, flat_moments[1])
 
 
 # ---------------------------------------------------------------------------

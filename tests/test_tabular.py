@@ -229,6 +229,16 @@ def test_write_csv_one_column_writes_a_missing_cell_as_quotes(tmp_path):
     assert load_csv(tmp_path / "t.csv", table.schema).column("x") == [1.0, None, 2.5]
 
 
+def test_category_label_with_outer_spaces_reads_back_as_itself(tmp_path):
+    schema = [ColumnSpec("label", "categorical", categories=(" a", "b")), ColumnSpec("x", "numeric")]
+    table = DataTable(schema, {"label": [" a", "b", None], "x": [1.0, 2.0, 3.0]})
+    write_csv(table, tmp_path / "t.csv")
+    assert load_csv(tmp_path / "t.csv", schema).column("label") == [" a", "b", None]
+    # a cell that is no label is stripped before the lookup: " b " is "b", " a " is "a", no label
+    (tmp_path / "t.csv").write_text("label,x\n a,1\n b ,2\n a ,3\n")
+    assert load_csv(tmp_path / "t.csv", schema).column("label") == [" a", "b", None]
+
+
 def test_write_csv_quotes_a_carriage_return_so_the_file_reads_back(tmp_path):
     schema = [ColumnSpec("label", "categorical", categories=("a\rb", "c")), ColumnSpec("x", "numeric")]
     table = DataTable(schema, {"label": ["a\rb", "c"], "x": [1.0, 2.0]})
