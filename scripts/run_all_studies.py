@@ -32,11 +32,11 @@ def main() -> int:
     rows = []
     for name in args.studies:
         cfg = StudyConfig.from_json(ROOT / "studies" / f"{name}.json")
-        start = time.time()
+        start = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = run_study(cfg, out_dir=args.out / name, data_dir=args.data_dir)
-        elapsed = time.time() - start
+        elapsed = time.perf_counter() - start
         agg = result.aggregate
         for stratum, scores in agg["bias_scores"].items():
             true_part = ""

@@ -34,6 +34,10 @@ class TrainingDivergedError(RuntimeError):
         self.epoch = epoch
         self.trace = trace
 
+    def __reduce__(self):
+        # the default rebuilds from args alone, which lacks epoch: it would not unpickle
+        return type(self), (self.args[0], self.epoch, self.trace)
+
 
 class SingularSystemError(RuntimeError):
     """Raised when a normal-equations system is singular at ridge_lambda=0."""
@@ -440,15 +444,12 @@ def auc(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
-        i = j + 1
+    # each run of tied scores fills sorted positions i..j and shares their average 1-based rank
+    i = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    j = np.r_[i[1:], len(scores)] - 1
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat(0.5 * (i + j) + 1.0, j - i + 1)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

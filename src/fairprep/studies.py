@@ -8,9 +8,13 @@ table differs, and both reports carry the same config digest as proof.
 from __future__ import annotations
 
 import hashlib
+import os
 import statistics
+import sys
 import urllib.request
+import warnings
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -356,24 +360,91 @@ def _aggregate(cfg: StudyConfig, runs) -> dict:
     return out
 
 
+def _run_seed(cfg: StudyConfig, table: DataTable, seed: int) -> StudyRun:
+    """One seed of a study: fit the debiaser, rewrite the table, and run the
+    downstream pipeline on the table before and after."""
+    if cfg.fit_debias_on == "train":
+        train_idx, _ = split_indices(table, cfg.test_fraction, seed)
+        fit_table = table.take_rows(train_idx)
+    else:
+        fit_table = table
+    dmodel, _ = train_debiaser(fit_table, cfg.debias_config(seed))
+    debiased = transform(dmodel, table)
+    return StudyRun(seed, _downstream(cfg, table, seed), _downstream(cfg, debiased, seed))
+
+
+def _run_seed_in_worker(cfg: StudyConfig, table: DataTable, seed: int):
+    """`_run_seed` in a worker process. Also returns the warnings raised on the
+    way, as (warning, filename, lineno): a worker cannot show them to its
+    parent's filters, so the parent re-emits them with `_rewarn`."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run = _run_seed(cfg, table, seed)
+    return run, [(w.message, w.filename, w.lineno) for w in caught]
+
+
+def _rewarn(caught) -> None:
+    """Re-emit the warnings a worker recorded through this process's filters,
+    with the module and registry that `warnings.warn` would have used."""
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, filename, lineno in caught:
+        module = modules.get(filename)
+        name = module.__name__ if module else None
+        registry = vars(module).setdefault("__warningregistry__", {}) if module else None
+        warnings.warn_explicit(message, type(message), filename, lineno, name, registry)
+
+
+def _one_blas_thread() -> None:
+    """Worker initializer: limit OpenBLAS, the BLAS numpy's wheels bundle, to one
+    thread. The workers already take every usable CPU, so BLAS threads on top
+    of them only contend for the same cores. Another BLAS keeps its default,
+    and so does OpenBLAS where its library cannot be found or loaded: an
+    initializer that raised would break the pool."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.rpartition("/")[2]}
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
+            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if setter is not None:
+                setter(1)
+
+
+def _worker_count(n_seeds: int) -> int:
+    """Processes to run a study's seeds in: one per usable CPU, at most one per
+    seed. The CPU affinity call exists only on Linux, which limits the pool to
+    Linux; elsewhere this is 1, and the seeds run in this process."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), n_seeds)
+
+
 def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, offline: bool = True,
               seeds=None) -> StudyResult:
     """Run every seed of a study: prepare, model, audit, debias, repeat, aggregate."""
     table, source_info = load_study_table(cfg, data_dir=data_dir, offline=offline)
     table = prepare_table(cfg, table)
     seeds = list(cfg.seeds if seeds is None else seeds)
-    runs = []
-    for seed in seeds:
-        if cfg.fit_debias_on == "train":
-            train_idx, _ = split_indices(table, cfg.test_fraction, seed)
-            fit_table = table.take_rows(train_idx)
-        else:
-            fit_table = table
-        dmodel, _ = train_debiaser(fit_table, cfg.debias_config(seed))
-        debiased = transform(dmodel, table)
-        pre = _downstream(cfg, table, seed)
-        post = _downstream(cfg, debiased, seed)
-        runs.append(StudyRun(seed, pre, post))
+    workers = _worker_count(len(seeds))
+    if workers > 1:
+        # imported here: the pool machinery holds about 1 MB that in-process callers never use
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        runs = []
+        # fork: a worker starts from this process's memory, with no re-import
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                 initializer=_one_blas_thread) as pool:
+            for run, caught in pool.map(_run_seed_in_worker, repeat(cfg), repeat(table), seeds):
+                _rewarn(caught)
+                runs.append(run)
+    else:
+        runs = [_run_seed(cfg, table, seed) for seed in seeds]
     effective = dict(cfg.raw, seeds=seeds)
     result = StudyResult(cfg.name, cfg.digest(), effective, source_info, runs, _aggregate(cfg, runs))
     if out_dir is not None:

@@ -122,6 +122,10 @@ class DataTable:
             raise SchemaError(f"ragged columns: lengths {sorted(lengths)}")
         self._arrays = {s.name: _stored(s, convert(s, columns[s.name])) for s in self.schema}
 
+    def __reduce__(self):
+        # rebuilt through from_arrays, so a copy sent to a worker process is read-only too
+        return DataTable.from_arrays, (self.schema, self._arrays)
+
     @property
     def n_rows(self) -> int:
         if not self.schema:

@@ -9,7 +9,8 @@ bit: `reference_adam_step` updates one tensor at a time,
 `reference_debias_training` runs the adversarial training loop on top of
 fairprep's forward and backward passes and that per-tensor Adam,
 `reference_group_stats` and `reference_histogram` scan
-every row per audit cell, and `reference_csv_text` writes through `csv.writer`.
+every row per audit cell, `reference_csv_text` writes through `csv.writer`,
+and `reference_auc` walks each run of tied scores with a `while` loop.
 """
 
 import csv
@@ -260,3 +261,22 @@ def reference_csv_text(names, rows):
         csv.writer(sink, lineterminator="\r\n").writerow(row)
         lines.append(sink.getvalue()[:-2] + "\n")
     return "".join(lines)
+
+
+def reference_auc(scores, labels):
+    """Tie-averaged rank AUC, walking the sorted scores one run of ties at a time."""
+    scores = np.asarray(scores, dtype=float).ravel()
+    pos = np.asarray(labels, dtype=float).ravel() == 1.0
+    n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+    order = np.argsort(scores, kind="mergesort")
+    ranks = np.empty(len(scores))
+    sorted_scores = scores[order]
+    i = 0
+    while i < len(scores):
+        j = i
+        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # average rank, 1-based
+        i = j + 1
+    rank_sum = float(ranks[pos].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)

@@ -349,3 +349,20 @@ def test_run_study_minibatch_divergence_exits_three(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
     assert "non-finite" in err
+
+
+def test_run_study_divergence_in_worker_processes_exits_three(tmp_path, capsys, monkeypatch):
+    import fairprep.studies as studies
+
+    monkeypatch.setattr(studies, "_worker_count", lambda n_seeds: 2)
+    diverging = _edited_study(
+        tmp_path, "heart",
+        lambda c: c["debias"].update(learning_rate=1e160, batch_size=30, epochs=2),
+    )
+    code = _run(["run-study", "--config", diverging, "--seeds", 2,
+                 "--out", tmp_path / "out", "--offline"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "non-finite" in err
+    assert not (tmp_path / "out").exists()

@@ -436,6 +436,28 @@ def test_auc_cases():
         auc([0.5, 0.5], [1, 1])
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    cells=st.lists(
+        st.tuples(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, math.inf, math.nan]),
+                st.floats(-1.0, 1.0),
+            ),
+            st.booleans(),
+        ),
+        min_size=2,
+        max_size=80,
+    ),
+)
+def test_property_auc_matches_the_tie_loop_reference_bit_for_bit(cells):
+    scores = [s for s, _ in cells]
+    labels = [int(y) for _, y in cells]
+    labels[0], labels[1] = 0, 1  # both classes present
+    got, want = np.float64(auc(scores, labels)), np.float64(oracles.reference_auc(scores, labels))
+    assert got.tobytes() == want.tobytes()
+
+
 def test_model_save_load_round_trip(tmp_path):
     model = LinearModel(np.array([1.5, -2.0]), 0.25, "logistic", 1e-4)
     path = tmp_path / "model.json"

@@ -1,10 +1,18 @@
+import ctypes
 import json
+import os
+import pickle
+import time
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from fairprep import studies
+from fairprep.debias import TrainingTrace
 from fairprep.ioutil import canonical_json
+from fairprep.mlcore import SingularSystemError, TrainingDivergedError
 from fairprep.studies import (
     StudyConfig,
     apply_transforms,
@@ -12,7 +20,7 @@ from fairprep.studies import (
     prepare_table,
     run_study,
 )
-from fairprep.tabular import DataError
+from fairprep.tabular import DataError, SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
 STUDY_DIR = ROOT / "studies"
@@ -167,3 +175,147 @@ def test_real_source_row_count_when_present():
     table, info = load_study_table(cfg, data_dir=data_dir)
     assert info["bundled"] is False
     assert table.n_rows == 11757
+
+
+def _quick_heart(**debias):
+    cfg = StudyConfig.from_json(STUDY_DIR / "heart.json")
+    cfg.debias = dict(cfg.debias, epochs=3, **debias)
+    return cfg
+
+
+def _force_workers(monkeypatch, workers):
+    monkeypatch.setattr(studies, "_worker_count", lambda n_seeds: workers)
+
+
+def test_worker_count_is_one_per_usable_cpu_capped_at_the_seeds():
+    cpus = len(os.sched_getaffinity(0))
+    assert studies._worker_count(1) == 1
+    assert studies._worker_count(cpus + 3) == cpus
+    assert studies._worker_count(2) == min(cpus, 2)
+
+
+def test_worker_processes_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
+    cfg = _quick_heart()
+    written = {}
+    for workers in (2, 1):
+        _force_workers(monkeypatch, workers)
+        out = tmp_path / f"workers{workers}"
+        run_study(cfg, out_dir=out, seeds=[0, 1])
+        written[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(written[2]) == 1 + 2 * 4  # result JSON, then bias/hist CSVs per seed and side
+    assert written[2] == written[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_seed_warnings_pass_through_the_callers_filters(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    cfg = _quick_heart(latent_dim=500)
+    with pytest.warns(UserWarning, match="latent_dim 500") as record:
+        run_study(cfg, seeds=[0, 1])
+    latent = [w for w in record if "latent_dim" in str(w.message)]
+    assert len(latent) == 2
+    assert all(w.filename == studies.__file__ for w in latent)
+    # "default" shows one warning per location, as a warning raised in this process would be
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        run_study(cfg, seeds=[0, 1])
+    assert len([w for w in caught if "latent_dim" in str(w.message)]) == 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_warning_the_caller_makes_an_error_stops_the_study(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    calls, downstream = [], studies._downstream
+    monkeypatch.setattr(studies, "_downstream", lambda *a: calls.append(a) or downstream(*a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="latent_dim 500"):
+            run_study(_quick_heart(latent_dim=500), seeds=[0, 1])
+    if workers == 1:  # raised where it happens, before the first seed's pipelines run
+        assert calls == []
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_failing_seed_is_the_error_raised_and_nothing_is_written(
+    tmp_path, monkeypatch, workers
+):
+    def train(table, cfg):
+        if cfg.seed == 0:
+            time.sleep(0.3)  # in worker processes, seed 1 fails first
+            raise DataError("seed 0 failed")
+        raise SchemaError("seed 1 failed")
+
+    monkeypatch.setattr(studies, "train_debiaser", train)
+    _force_workers(monkeypatch, workers)
+    with pytest.raises(DataError, match="seed 0 failed"):
+        run_study(_quick_heart(), out_dir=tmp_path / "out", seeds=[0, 1])
+    assert not (tmp_path / "out").exists()
+
+
+def test_errors_a_worker_raises_survive_pickling():
+    trace = TrainingTrace([1.0, 0.5], [0.7, 0.6], [0.3, float("inf")])
+    for exc in (
+        TrainingDivergedError("non-finite loss at epoch 1", 1, trace),
+        SingularSystemError("singular Gram matrix"),
+        DataError("bad cell"),
+        SchemaError("bad spec"),
+    ):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc)
+        assert back.args == exc.args and str(back) == str(exc)
+    diverged = pickle.loads(pickle.dumps(TrainingDivergedError("boom", 4, trace)))
+    assert (diverged.epoch, diverged.trace) == (4, trace)
+
+
+def _os_threads():
+    return len(os.listdir("/proc/self/task"))
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
+def test_this_process_has_one_thread_when_it_forks_a_worker(monkeypatch):
+    # Python 3.12+ warns on a fork from a process with more than one OS thread.
+    # OpenBLAS joins its threads before a fork; the pool forks before it starts
+    # its own thread.
+    a = np.ones((512, 512))
+    a @ a  # start BLAS threads, where the BLAS has them
+    fork, counts = os.fork, []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            counts.append(_os_threads())
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    _force_workers(monkeypatch, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        run_study(_quick_heart(), seeds=[0, 1])
+    assert counts == [1, 1]
+
+
+def _openblas_threads():
+    """The thread count OpenBLAS computes with here; None where numpy's BLAS is not OpenBLAS."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line.rpartition("/")[2]}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
+            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            if getter is not None:
+                return getter()
+    return None
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="finds the BLAS in /proc")
+def test_each_worker_computes_with_one_blas_thread(monkeypatch):
+    if _openblas_threads() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+
+    def train(table, cfg):
+        raise DataError(f"{_openblas_threads()} BLAS threads")
+
+    monkeypatch.setattr(studies, "train_debiaser", train)
+    _force_workers(monkeypatch, 2)
+    with pytest.raises(DataError, match="^1 BLAS threads$"):
+        run_study(_quick_heart(), seeds=[0, 1])

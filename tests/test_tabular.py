@@ -1,5 +1,6 @@
 import csv
 import math
+import pickle
 import tempfile
 from pathlib import Path
 
@@ -91,7 +92,9 @@ def test_stored_arrays_are_read_only(toy_table):
 
 
 def test_derived_tables_share_no_writable_memory(toy_table):
-    for out in (toy_table.take_rows([4, 0, 2]), filter_rows(toy_table, "group", {"a"})):
+    unpickled = pickle.loads(pickle.dumps(toy_table))  # as sent to a worker process
+    assert dict(unpickled.columns) == dict(toy_table.columns)
+    for out in (toy_table.take_rows([4, 0, 2]), filter_rows(toy_table, "group", {"a"}), unpickled):
         for name in toy_table.column_names:
             assert not out.array(name).flags.writeable
             assert not np.shares_memory(out.array(name), toy_table.array(name))
