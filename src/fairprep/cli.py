@@ -257,10 +257,13 @@ def _cmd_run_study(args) -> int:
 
 
 def _cmd_synth_check(args) -> int:
-    spec = SyntheticSpec(
-        n=args.n, prevalence=args.prevalence,
-        proxy_strength=args.rho, bias_strength=args.beta, seed=args.seed,
-    )
+    try:
+        spec = SyntheticSpec(
+            n=args.n, prevalence=args.prevalence,
+            proxy_strength=args.rho, bias_strength=args.beta, seed=args.seed,
+        )
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     result = synth_check(spec)
     sys.stdout.write(
         f"probe AUC {result.probe_auc_pre:.3f} -> {result.probe_auc_post:.3f}\n"

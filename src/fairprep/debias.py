@@ -80,12 +80,16 @@ class DebiasConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if self.adversary_weight < 0:
-            raise ValueError("adversary_weight must be nonnegative")
+        if not 0 <= self.adversary_weight < math.inf:
+            raise ValueError(
+                f"adversary_weight must be finite and nonnegative, got {self.adversary_weight!r}"
+            )
         if self.epochs < 1 or self.adversary_steps < 1:
             raise ValueError("epochs and adversary_steps must be >= 1")
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("learning_rate must be positive and batch_size >= 1")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
 
 @dataclass

@@ -13,7 +13,6 @@ and unrelated purposes never share one.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, field
 from numbers import Integral
@@ -63,13 +62,15 @@ def derive_rng(seed: int, *labels) -> np.random.Generator:
 
 
 def sigmoid(z):
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) otherwise, so exp never overflows."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # exp(-|z|); minimum returns its first argument's NaN, so a NaN keeps its sign
+    e = np.exp(np.minimum(z, -z))
+    # the numerator: exp(0) = 1 where z >= 0 and the same exp(z) as e elsewhere. A second
+    # vectorised exp costs less than np.where(z >= 0, 1.0, e), which branches on each sign.
+    out = np.exp(np.minimum(z, 0.0), out=np.empty_like(z))  # an array even for a 0-d z
+    e += 1.0
+    return np.divide(out, e, out=out)
 
 
 # Below this row width a loop over columns is several times faster than
@@ -312,12 +313,12 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.epochs, Integral):
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be nonnegative")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and nonnegative, got {self.l2!r}")
 
 
 @dataclass
@@ -351,18 +352,26 @@ def fit_logistic(X, y, cfg: TrainConfig) -> LinearModel:
     w = np.zeros(d)
     b = 0.0
     history = []
+    # likelihood = sign * pc + offset is pc where y = 1 and 1 - pc where y = 0, so its log is
+    # y*log(pc) + (1-y)*log(1-pc) bit for bit; unlike np.where it does not branch on each label
+    sign = 2.0 * y - 1.0
+    offset = 1.0 - y
     for epoch in range(cfg.epochs):
-        z = X @ w + b
+        z = X @ w
+        z += b
         p = sigmoid(z)
-        pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
-        loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)) + cfg.l2 * w @ w)
+        likelihood = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+        likelihood *= sign
+        likelihood += offset
+        loss = float(-np.mean(np.log(likelihood)) + cfg.l2 * w @ w)
         if not math.isfinite(loss):
             raise TrainingDivergedError(
                 f"logistic training loss became non-finite at epoch {epoch}", epoch
             )
         history.append(loss)
-        grad_w = X.T @ (p - y) / n + 2.0 * cfg.l2 * w
-        grad_b = float(np.mean(p - y))
+        residual = p - y
+        grad_w = X.T @ residual / n + 2.0 * cfg.l2 * w
+        grad_b = float(np.mean(residual))
         w -= cfg.learning_rate * grad_w
         b -= cfg.learning_rate * grad_b
     echo = {"learning_rate": cfg.learning_rate, "epochs": cfg.epochs, "l2": cfg.l2, "seed": cfg.seed}
@@ -379,8 +388,8 @@ def fit_linear(X, y, ridge_lambda: float = 0.0) -> LinearModel:
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
-    if ridge_lambda < 0:
-        raise ValueError("ridge_lambda must be nonnegative")
+    if not 0 <= ridge_lambda < math.inf:
+        raise ValueError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda!r}")
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
@@ -452,35 +461,3 @@ def auc(scores, labels) -> float:
     ranks[order] = np.repeat(0.5 * (i + j) + 1.0, j - i + 1)
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-# ---------------------------------------------------------------------------
-# model persistence
-
-
-def save_model(model: LinearModel, path) -> None:
-    from .ioutil import write_json
-
-    write_json(
-        path,
-        {
-            "kind": model.kind,
-            "n_features": int(model.weights.shape[0]),
-            "weights": [float(v) for v in model.weights],
-            "intercept": float(model.intercept),
-            "ridge_lambda": float(model.ridge_lambda),
-            "train_config": model.train_config,
-        },
-    )
-
-
-def load_model(path) -> LinearModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    return LinearModel(
-        np.asarray(data["weights"], dtype=float),
-        float(data["intercept"]),
-        data["kind"],
-        float(data.get("ridge_lambda", 0.0)),
-        train_config=data.get("train_config", {}),
-    )

@@ -8,6 +8,7 @@ table differs, and both reports carry the same config digest as proof.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import statistics
 import sys
@@ -121,8 +122,10 @@ class StudyConfig:
         try:
             if model["kind"] == "logistic":
                 _train_config(model, seed=0)
-            elif not _is_nonnegative_number(model.get("ridge_lambda", 0.0)):
-                raise ValueError(f"ridge_lambda must be a number >= 0, got {model['ridge_lambda']!r}")
+            elif not _is_finite_nonnegative_number(model.get("ridge_lambda", 0.0)):
+                raise ValueError(
+                    f"ridge_lambda must be a finite number >= 0, got {model['ridge_lambda']!r}"
+                )
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path.name}: model: {exc}") from None
         debias = _check_block(data.get("debias", {}), DEBIAS_KEYS, f"{path.name}: debias")
@@ -218,8 +221,8 @@ def prepare_table(cfg: StudyConfig, table: DataTable) -> DataTable:
     return table
 
 
-def _is_nonnegative_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and value >= 0
+def _is_finite_nonnegative_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value < math.inf
 
 
 def _train_config(model: dict, seed: int) -> TrainConfig:

@@ -10,7 +10,9 @@ bit: `reference_adam_step` updates one tensor at a time,
 fairprep's forward and backward passes and that per-tensor Adam,
 `reference_group_stats` and `reference_histogram` scan
 every row per audit cell, `reference_csv_text` writes through `csv.writer`,
-and `reference_auc` walks each run of tied scores with a `while` loop.
+`reference_auc` walks each run of tied scores with a `while` loop,
+`reference_sigmoid` fills its two branches through boolean masks, and
+`reference_fit_logistic` takes the two-log cross-entropy on both labels.
 """
 
 import csv
@@ -280,3 +282,45 @@ def reference_auc(scores, labels):
         i = j + 1
     rank_sum = float(ranks[pos].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def reference_sigmoid(z):
+    """The logistic function by boolean masks: 1/(1+exp(-z)) where z >= 0, exp(z)/(1+exp(z)) elsewhere."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_fit_logistic(X, y, cfg):
+    """(weights, intercept, loss_history) of fairprep's gradient-descent logistic fit.
+
+    Each epoch's loss is y*log(pc) + (1-y)*log(1-pc) with both logs taken on
+    every row, the sigmoid is `reference_sigmoid`, and p - y is formed anew
+    for each gradient. Raises fairprep's TrainingDivergedError at the first
+    epoch whose loss is not finite.
+    """
+    from fairprep.mlcore import PROB_CLIP, TrainingDivergedError
+
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    n, d = X.shape
+    w = np.zeros(d)
+    b = 0.0
+    history = []
+    for epoch in range(cfg.epochs):
+        z = X @ w + b
+        p = reference_sigmoid(z)
+        pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+        loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)) + cfg.l2 * w @ w)
+        if not math.isfinite(loss):
+            raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}", epoch)
+        history.append(loss)
+        grad_w = X.T @ (p - y) / n + 2.0 * cfg.l2 * w
+        grad_b = float(np.mean(p - y))
+        w -= cfg.learning_rate * grad_w
+        b -= cfg.learning_rate * grad_b
+    return w, b, history

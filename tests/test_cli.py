@@ -1,10 +1,17 @@
 import csv
 import json
+import math
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import fairprep.cli as cli
 from fairprep.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -192,7 +199,7 @@ def test_usage_errors_exit_one(tmp_path, capsys, small_csv):
     assert _run(["audit", "--estimates", est, "--groups", "g", "--group-pair", "onlyone"]) == 1
     csv_path, schema_path = small_csv
     for flag, value in (("--epochs", 0), ("--adversary-steps", 0), ("--latent", 0),
-                        ("--lambda", -1)):
+                        ("--lambda", -1), ("--lambda", "nan"), ("--lambda", "inf")):
         capsys.readouterr()
         assert _run(["debias", "--input", csv_path, "--schema", schema_path,
                      "--protected", "grp", "--output", tmp_path / "out.csv",
@@ -255,6 +262,100 @@ def test_synth_check_command(tmp_path, capsys):
 def test_synth_check_null_case(capsys):
     assert _run(["synth-check", "--n", 600, "--beta", 0.0, "--rho", 0.0, "--seed", 2]) == 0
     assert "no bias injected" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--beta", 2, "bias_strength"),
+    ("--rho", "nan", "proxy_strength"),
+    ("--prevalence", 1.5, "prevalence"),
+    ("--n", 0, "n >= 1"),
+])
+def test_synth_check_out_of_range_option_is_a_one_line_usage_error(capsys, flag, value, named):
+    assert _run(["synth-check", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_synth_check_usage_error_prints_no_traceback():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    proc = subprocess.run([sys.executable, "-m", "fairprep", "synth-check", "--beta", "2"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: bias_strength") and proc.stderr.count("\n") == 1
+
+
+NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
+
+
+def _out_of_range_floats(lo, hi, lo_open=False, hi_open=False):
+    """NaNs, infinities and floats outside [lo, hi] (an open end also refuses lo or hi)."""
+    return st.one_of(
+        NON_FINITE,
+        st.floats(max_value=lo, exclude_max=not lo_open, allow_nan=False),
+        st.floats(min_value=hi, exclude_min=not hi_open, allow_nan=False),
+    )
+
+
+# each entry: one option and values of it that the command must refuse before training
+SYNTH_CHECK_BAD = {
+    "--n": st.integers(max_value=0),
+    "--beta": _out_of_range_floats(0.0, 1.0, hi_open=True),
+    "--rho": _out_of_range_floats(0.0, 1.0),
+    "--prevalence": _out_of_range_floats(0.0, 1.0, lo_open=True, hi_open=True),
+}
+DEBIAS_BAD = {
+    "--lambda": st.one_of(NON_FINITE, st.floats(max_value=0.0, exclude_max=True)),
+    "--epochs": st.integers(max_value=0),
+    "--adversary-steps": st.integers(max_value=0),
+    "--latent": st.integers(max_value=0),
+}
+
+
+@st.composite
+def _refused_command(draw):
+    command = draw(st.sampled_from(["synth-check", "debias"]))
+    table = SYNTH_CHECK_BAD if command == "synth-check" else DEBIAS_BAD
+    flags = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=len(table),
+                          unique=True))
+    options = []
+    for flag in flags:
+        options.append(f"{flag}={draw(table[flag])}")  # "--n=-3": argparse reads -3 as a value
+    return command, options
+
+
+@pytest.fixture
+def no_training(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an out-of-range option reached training")
+
+    monkeypatch.setattr(cli, "train_debiaser", refuse)
+    monkeypatch.setattr(cli, "synth_check", refuse)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=_refused_command())
+def test_property_out_of_range_numeric_options_exit_one_or_two_before_training(
+    drawn, small_csv, no_training, tmp_path, capsys
+):
+    command, options = drawn
+    csv_path, schema_path = small_csv
+    argv = [command, *options]
+    if command == "debias":
+        argv += ["--input", csv_path, "--schema", schema_path, "--protected", "grp",
+                 "--output", tmp_path / "out.csv"]
+    capsys.readouterr()
+    try:
+        code = _run(argv)
+    except Exception as exc:  # noqa: BLE001 - from the shell this is a traceback
+        pytest.fail(f"{options} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert code in (1, 2), (options, code)
+    assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_debias_divergence_exits_three_with_partial_report(tmp_path, small_csv, monkeypatch):
@@ -324,9 +425,21 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c["model"].update(learning_rate=0), "learning_rate"),
     ("passnyc", lambda c: c["model"].update(kind="ridge", ridge_lambda=-1), "ridge_lambda"),
     ("passnyc", lambda c: c["model"].update(kind="ridge", ridge_lambda="x"), "ridge_lambda"),
+    ("heart", lambda c: c["model"].update(learning_rate=math.nan), "learning_rate"),
+    ("heart", lambda c: c["model"].update(learning_rate=math.inf), "learning_rate"),
+    ("heart", lambda c: c["model"].update(l2=math.nan), "l2"),
+    ("heart", lambda c: c["model"].update(l2=math.inf), "l2"),
+    ("passnyc", lambda c: c["model"].update(kind="ridge", ridge_lambda=math.inf), "ridge_lambda"),
+    ("heart", lambda c: c["debias"].update(adversary_weight=math.nan), "adversary_weight"),
+    ("heart", lambda c: c["debias"].update(adversary_weight=math.inf), "adversary_weight"),
+    ("heart", lambda c: c["debias"].update(learning_rate=math.nan), "learning_rate"),
+    ("heart", lambda c: c["debias"].update(learning_rate=math.inf), "learning_rate"),
 ], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
         "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
-        "model-learning-rate", "model-ridge-negative", "model-ridge-type"])
+        "model-learning-rate", "model-ridge-negative", "model-ridge-type",
+        "model-learning-rate-nan", "model-learning-rate-inf", "model-l2-nan", "model-l2-inf",
+        "model-ridge-inf", "debias-lambda-nan", "debias-lambda-inf",
+        "debias-learning-rate-nan", "debias-learning-rate-inf"])
 def test_run_study_config_typo_exits_two(tmp_path, capsys, study, edit, named):
     bad = _edited_study(tmp_path, study, edit)
     assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2

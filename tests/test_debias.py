@@ -46,6 +46,16 @@ def copy_dataset(n=400, seed=0, n_noise=3):
 FULL_CAPACITY = dict(latent_dim=4, encoder_hidden=16, adversary_hidden=16)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("adversary_weight", math.nan), ("adversary_weight", math.inf), ("adversary_weight", -1.0),
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+])
+def test_config_rejects_non_finite_and_out_of_range_rates(field, value):
+    with pytest.raises(ValueError, match=field):
+        DebiasConfig(**{field: value})
+    assert getattr(DebiasConfig(**{field: 1e300}), field) == 1e300  # large but finite is fine
+
+
 def test_raw_copy_dataset_probe_is_saturated():
     assert leakage_probe(copy_dataset(), "group", seed=1) >= 0.95
 

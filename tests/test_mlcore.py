@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -20,13 +19,11 @@ from fairprep.mlcore import (
     derive_rng,
     fit_linear,
     fit_logistic,
-    load_model,
     mlp_backward,
     mlp_forward,
     mlp_init,
     predict,
     r_squared,
-    save_model,
     sigmoid,
     softmax,
     softmax_cross_entropy,
@@ -164,6 +161,41 @@ def test_property_row_reductions_and_softmax_gradient_are_bit_exact(
 def test_sigmoid_extreme_inputs_stay_in_bounds():
     out = sigmoid(np.array([-1000.0, 0.0, 1000.0]))
     assert 0.0 <= out[0] < 1e-12 and out[1] == 0.5 and 1.0 - 1e-12 < out[2] <= 1.0
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+# signed zeros and NaNs, infinities, subnormals, the smallest normal, and |z| past
+# 745, where exp(-|z|) underflows to 0
+SIGMOID_EDGES = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324,
+                 2.2250738585072014e-308, -2.2250738585072014e-308, 1e-310, -1e-310,
+                 745.0, -745.0, 745.2, -745.2, 746.0, -746.0, 1e300, -1e300, 36.7, -36.7]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.one_of(st.sampled_from(SIGMOID_EDGES), st.floats()), max_size=64),
+    as_column=st.booleans(),
+)
+def test_property_sigmoid_matches_the_masked_reference_bit_for_bit(values, as_column):
+    z = np.array(values, dtype=float)
+    if as_column:
+        z = z.reshape(-1, 1)
+    got, want = sigmoid(z), oracles.reference_sigmoid(z)
+    assert got.shape == want.shape
+    assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_sigmoid_edge_values_match_the_reference_bit_for_bit():
+    z = np.array(SIGMOID_EDGES)
+    assert np.array_equal(_bits(sigmoid(z)), _bits(oracles.reference_sigmoid(z)))
+    # a 0-d input gives a 0-d array, as the reference does
+    for v in SIGMOID_EDGES:
+        got = sigmoid(v)
+        assert isinstance(got, np.ndarray) and got.shape == ()
+        assert _bits(got) == _bits(oracles.reference_sigmoid(v))
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +370,50 @@ def test_logistic_divergence_reports_epoch():
     assert err.value.epoch >= 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 60),
+    d=st.integers(1, 5),
+    log_scale=st.floats(-2, 3),
+    log_lr=st.floats(-3, 2),
+    l2=st.sampled_from([0.0, 1e-4, 0.1]),
+    epochs=st.integers(1, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_property_logistic_fit_matches_the_two_log_reference_bit_for_bit(
+    n, d, log_scale, log_lr, l2, epochs, seed
+):
+    rng = derive_rng(seed, "logistic-oracle")
+    X = rng.standard_normal((n, d)) * 10.0**log_scale
+    y = (rng.random(n) < 0.5).astype(float)
+    y[:2] = 0.0, 1.0  # both classes present
+    cfg = TrainConfig(learning_rate=10.0**log_lr, epochs=epochs, l2=l2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            w_ref, b_ref, history_ref = oracles.reference_fit_logistic(X, y, cfg)
+        except TrainingDivergedError as ref_err:
+            with pytest.raises(TrainingDivergedError) as err:
+                fit_logistic(X, y, cfg)
+            assert err.value.epoch == ref_err.epoch
+            return
+        model = fit_logistic(X, y, cfg)
+    assert np.array_equal(_bits(model.weights), _bits(w_ref))
+    assert _bits(model.intercept) == _bits(b_ref)
+    assert np.array_equal(_bits(model.loss_history), _bits(history_ref))
+
+
+def test_logistic_divergence_epoch_matches_the_reference():
+    X = np.array([[1e3], [-1e3], [1e3], [-1e3]])
+    y = np.array([1.0, 0.0, 1.0, 0.0])
+    cfg = TrainConfig(learning_rate=1e150, epochs=50, l2=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TrainingDivergedError) as want:
+            oracles.reference_fit_logistic(X, y, cfg)
+        with pytest.raises(TrainingDivergedError) as got:
+            fit_logistic(X, y, cfg)
+    assert got.value.epoch == want.value.epoch == 2
+
+
 def test_logistic_deterministic():
     rng = derive_rng(22, "det")
     X = rng.standard_normal((30, 3))
@@ -346,6 +422,15 @@ def test_logistic_deterministic():
     m1 = fit_logistic(X, y, cfg)
     m2 = fit_logistic(X, y, cfg)
     assert np.array_equal(m1.weights, m2.weights) and m1.intercept == m2.intercept
+
+
+@pytest.mark.parametrize("field, value", [
+    ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+    ("l2", math.nan), ("l2", math.inf), ("l2", -1e-4),
+])
+def test_train_config_rejects_non_finite_and_out_of_range_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +462,12 @@ def test_ridge_matches_gradient_descent_oracle():
     w_ref, b_ref = oracles.gd_ridge(X, y, 0.1)
     dist = float(np.linalg.norm(model.weights - w_ref)) + abs(model.intercept - b_ref)
     assert dist <= 1e-6
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+def test_linear_rejects_a_non_finite_or_negative_ridge_lambda(lam):
+    with pytest.raises(ValueError, match="ridge_lambda"):
+        fit_linear(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]), lam)
 
 
 def test_linear_singular_system_errors():
@@ -456,14 +547,3 @@ def test_property_auc_matches_the_tie_loop_reference_bit_for_bit(cells):
     labels[0], labels[1] = 0, 1  # both classes present
     got, want = np.float64(auc(scores, labels)), np.float64(oracles.reference_auc(scores, labels))
     assert got.tobytes() == want.tobytes()
-
-
-def test_model_save_load_round_trip(tmp_path):
-    model = LinearModel(np.array([1.5, -2.0]), 0.25, "logistic", 1e-4)
-    path = tmp_path / "model.json"
-    save_model(model, path)
-    back = load_model(path)
-    assert np.array_equal(back.weights, model.weights)
-    assert back.intercept == model.intercept
-    assert back.kind == "logistic" and back.ridge_lambda == 1e-4
-    json.loads(path.read_text())
