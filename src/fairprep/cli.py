@@ -236,6 +236,8 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_run_study(args) -> int:
+    if args.seeds is not None and args.seeds < 1:
+        raise _UsageError(f"--seeds must be >= 1, got {args.seeds}")
     cfg = StudyConfig.from_json(args.config)
     seeds = list(range(args.seeds)) if args.seeds is not None else None
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)

@@ -269,7 +269,8 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
                 grads_d, dz_recon = mlp_backward(decoder, cache_d, g_r)
                 cache_a, logits = mlp_forward(adversary, z)
                 loss_a, g_adv = _summed_loss(logits, Yb, adv_blocks)
-                _, dz_adv = mlp_backward(adversary, cache_a, g_adv)  # adversary params frozen here
+                # the adversary's parameters are frozen here: only its input gradient is needed
+                _, dz_adv = mlp_backward(adversary, cache_a, g_adv, param_grads=False)
                 grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv, input_grad=False)
                 adam_step(decoder, grads_d, st_dec, cfg.learning_rate)
                 adam_step(encoder, grads_e, st_enc, cfg.learning_rate)

@@ -20,7 +20,7 @@ from numbers import Integral
 import numpy as np
 
 HIDDEN_ACTIVATIONS = ("relu", "tanh")
-OUTPUT_ACTIVATIONS = ("identity", "sigmoid", "softmax")
+OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
 
 PROB_CLIP = 1e-12
 
@@ -99,12 +99,6 @@ def _row_sum(x):
     return s
 
 
-def softmax(z):
-    z = np.asarray(z, dtype=float)
-    e = np.exp(z - _row_max(z))
-    return e / _row_sum(e)
-
-
 def squared_error(pred, target):
     """Mean-over-rows squared error; returns (loss, gradient w.r.t. pred)."""
     pred = np.asarray(pred, dtype=float)
@@ -158,7 +152,8 @@ class Mlp:
     All parameters live in one float64 vector, `params`, in layer order
     weights[0], biases[0], weights[1], ...; `weights` and `biases` are views
     into it, so an update of `params` is an update of every layer. The given
-    arrays are copied in, and each must have its layer's shape.
+    arrays are copied in, and each must have its layer's shape. The activation
+    names must be in HIDDEN_ACTIVATIONS and OUTPUT_ACTIVATIONS.
     """
 
     dims: tuple
@@ -169,6 +164,10 @@ class Mlp:
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
+            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
+        if self.output_activation not in OUTPUT_ACTIVATIONS:
+            raise ValueError(f"unknown output activation {self.output_activation!r}")
         n_layers = len(self.dims) - 1
         if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ValueError(f"dims {tuple(self.dims)} need {n_layers} weight and bias arrays, "
@@ -194,10 +193,6 @@ def mlp_init(dims, hidden_activation="tanh", output_activation="identity", rng=N
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
         raise ValueError(f"need >= 2 positive layer dims, got {dims}")
-    if hidden_activation not in HIDDEN_ACTIVATIONS:
-        raise ValueError(f"unknown hidden activation {hidden_activation!r}")
-    if output_activation not in OUTPUT_ACTIVATIONS:
-        raise ValueError(f"unknown output activation {output_activation!r}")
     if rng is None:
         rng = derive_rng(0, "mlp-init")
     weights, biases = [], []
@@ -227,22 +222,22 @@ def mlp_forward(net: Mlp, X):
             a = np.tanh(z) if net.hidden_activation == "tanh" else np.maximum(z, 0.0)
         elif net.output_activation == "sigmoid":
             a = sigmoid(z)
-        elif net.output_activation == "softmax":
-            a = softmax(z)
         else:
             a = z
         activations.append(a)
     return (activations, pre), activations[-1]
 
 
-def mlp_backward(net: Mlp, cache, output_grad, *, input_grad=True):
+def mlp_backward(net: Mlp, cache, output_grad, *, input_grad=True, param_grads=True):
     """Backpropagate d(loss)/d(output) through the net.
 
     Returns (param_grads, input_grad) where param_grads is a list of (dW, db)
     matching net.weights/net.biases, and input_grad is d(loss)/d(input) --
     needed to couple networks (the debiaser feeds one net's input gradient
     into another's output). With input_grad=False the layer-0 input gradient
-    is not computed and None is returned in its place.
+    is not computed, and with param_grads=False no (dW, db) is; None is
+    returned in the place of what is skipped. Skipping changes no bit of
+    what is computed.
     """
     activations, pre = cache
     if len(activations) != len(net.weights) + 1:
@@ -251,15 +246,11 @@ def mlp_backward(net: Mlp, cache, output_grad, *, input_grad=True):
     out = activations[-1]
     if g.shape != out.shape:
         raise ValueError(f"output_grad shape {g.shape} != output shape {out.shape}")
-    if net.output_activation == "sigmoid":
-        dz = g * out * (1.0 - out)
-    elif net.output_activation == "softmax":
-        dz = out * (g - np.sum(g * out, axis=1, keepdims=True))
-    else:
-        dz = g
-    param_grads = [None] * len(net.weights)
+    dz = g * out * (1.0 - out) if net.output_activation == "sigmoid" else g
+    grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, 0, -1):
-        param_grads[l] = (activations[l].T @ dz, dz.sum(axis=0))
+        if param_grads:
+            grads[l] = (activations[l].T @ dz, dz.sum(axis=0))
         da = dz @ net.weights[l].T
         if net.hidden_activation == "tanh":
             dz = np.square(activations[l])
@@ -267,8 +258,9 @@ def mlp_backward(net: Mlp, cache, output_grad, *, input_grad=True):
             dz *= da
         else:
             dz = da * (pre[l - 1] > 0.0)
-    param_grads[0] = (activations[0].T @ dz, dz.sum(axis=0))
-    return param_grads, (dz @ net.weights[0].T if input_grad else None)
+    if param_grads:
+        grads[0] = (activations[0].T @ dz, dz.sum(axis=0))
+    return (grads if param_grads else None), (dz @ net.weights[0].T if input_grad else None)
 
 
 @dataclass

@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 import statistics
-import sys
 import urllib.request
-import warnings
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
@@ -21,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audit as audit_mod
-from . import mlcore
+from . import mlcore, parallel
 from .debias import DebiasConfig, train_debiaser, transform
 from .ioutil import canonical_json, read_json, to_jsonable, write_json
 from .mlcore import TrainConfig
@@ -141,6 +138,17 @@ class StudyConfig:
             raise SchemaError(
                 f"{path.name}: fit_debias_on {fit_debias_on!r} is not one of {FIT_DEBIAS_ON}"
             )
+        seeds = data.get("seeds", [0, 1, 2, 3, 4])
+        if not (isinstance(seeds, list) and seeds
+                and all(type(s) is int and s >= 0 for s in seeds)
+                and len(set(seeds)) == len(seeds)):
+            raise SchemaError(f"{path.name}: seeds must be a non-empty list of distinct "
+                              f"non-negative integers, got {seeds!r}")
+        test_fraction = data.get("test_fraction", 0.3)
+        if not (_is_real(test_fraction) and 0 < test_fraction < 1):
+            raise SchemaError(
+                f"{path.name}: test_fraction must be a number in (0,1), got {test_fraction!r}"
+            )
         return cls(
             name=data["name"],
             source=data.get("source", {}),
@@ -150,10 +158,10 @@ class StudyConfig:
             target=data["target"],
             model=model,
             debias=debias,
-            seeds=list(data.get("seeds", [0, 1, 2, 3, 4])),
+            seeds=list(seeds),
             audit=audit,
             fit_debias_on=fit_debias_on,
-            test_fraction=float(data.get("test_fraction", 0.3)),
+            test_fraction=float(test_fraction),
             base_dir=base,
             raw=data,
         )
@@ -221,8 +229,12 @@ def prepare_table(cfg: StudyConfig, table: DataTable) -> DataTable:
     return table
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _is_finite_nonnegative_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value < math.inf
+    return _is_real(value) and 0 <= value < math.inf
 
 
 def _train_config(model: dict, seed: int) -> TrainConfig:
@@ -376,78 +388,18 @@ def _run_seed(cfg: StudyConfig, table: DataTable, seed: int) -> StudyRun:
     return StudyRun(seed, _downstream(cfg, table, seed), _downstream(cfg, debiased, seed))
 
 
-def _run_seed_in_worker(cfg: StudyConfig, table: DataTable, seed: int):
-    """`_run_seed` in a worker process. Also returns the warnings raised on the
-    way, as (warning, filename, lineno): a worker cannot show them to its
-    parent's filters, so the parent re-emits them with `_rewarn`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run = _run_seed(cfg, table, seed)
-    return run, [(w.message, w.filename, w.lineno) for w in caught]
-
-
-def _rewarn(caught) -> None:
-    """Re-emit the warnings a worker recorded through this process's filters,
-    with the module and registry that `warnings.warn` would have used."""
-    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
-    for message, filename, lineno in caught:
-        module = modules.get(filename)
-        name = module.__name__ if module else None
-        registry = vars(module).setdefault("__warningregistry__", {}) if module else None
-        warnings.warn_explicit(message, type(message), filename, lineno, name, registry)
-
-
-def _one_blas_thread() -> None:
-    """Worker initializer: limit OpenBLAS, the BLAS numpy's wheels bundle, to one
-    thread. The workers already take every usable CPU, so BLAS threads on top
-    of them only contend for the same cores. Another BLAS keeps its default,
-    and so does OpenBLAS where its library cannot be found or loaded: an
-    initializer that raised would break the pool."""
-    import ctypes
-
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.rpartition("/")[2]}
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return
-    for lib in libs:
-        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
-            setter = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-            if setter is not None:
-                setter(1)
-
-
-def _worker_count(n_seeds: int) -> int:
-    """Processes to run a study's seeds in: one per usable CPU, at most one per
-    seed. The CPU affinity call exists only on Linux, which limits the pool to
-    Linux; elsewhere this is 1, and the seeds run in this process."""
-    if not hasattr(os, "sched_getaffinity"):
-        return 1
-    return min(len(os.sched_getaffinity(0)), n_seeds)
-
-
 def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, offline: bool = True,
               seeds=None) -> StudyResult:
     """Run every seed of a study: prepare, model, audit, debias, repeat, aggregate."""
+    seeds = list(cfg.seeds if seeds is None else seeds)
+    if not seeds:
+        raise ValueError("run_study needs at least one seed")
     table, source_info = load_study_table(cfg, data_dir=data_dir, offline=offline)
     table = prepare_table(cfg, table)
-    seeds = list(cfg.seeds if seeds is None else seeds)
-    workers = _worker_count(len(seeds))
-    if workers > 1:
-        # imported here: the pool machinery holds about 1 MB that in-process callers never use
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        runs = []
-        # fork: a worker starts from this process's memory, with no re-import
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
-                                 initializer=_one_blas_thread) as pool:
-            for run, caught in pool.map(_run_seed_in_worker, repeat(cfg), repeat(table), seeds):
-                _rewarn(caught)
-                runs.append(run)
-    else:
-        runs = [_run_seed(cfg, table, seed) for seed in seeds]
+    # one worker per seed and usable CPU; with one, the seeds run in this process
+    workers = parallel.worker_count(len(seeds))
+    with parallel.Pool(workers if workers > 1 else 0) as pool:
+        runs = list(pool.map(_run_seed, repeat(cfg), repeat(table), seeds))
     effective = dict(cfg.raw, seeds=seeds)
     result = StudyResult(cfg.name, cfg.digest(), effective, source_info, runs, _aggregate(cfg, runs))
     if out_dir is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import mlcore
+from . import mlcore, parallel
 from .debias import DebiasConfig, leakage_probe, train_debiaser, transform
 from .mlcore import TrainConfig, derive_rng, sigmoid
 from .tabular import ColumnSpec, DataError, DataTable, encode_features, split_indices
@@ -23,6 +23,12 @@ from . import audit as audit_mod
 
 PROTECTED_COLUMN = "group"
 TARGET_COLUMN = "outcome"
+
+# Below this many rows the probe and fits that overlap training take about as long as a
+# forked worker costs to start, feed and stop, so `synth_check` runs every stage in this
+# process. Measured on a 2-vCPU VM: at 2000 rows the two schedules took the same time,
+# at 5000 rows (30 epochs) the worker saved 8% and at 10 000 rows 13%.
+MIN_ROWS_FOR_A_WORKER = 5000
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,12 @@ def _fit_and_score(table: DataTable, fair_labels, seed: int, model_cfg: TrainCon
     return observed_acc, fair_acc, report.bias_table.scores()
 
 
+def _debiased(table: DataTable, debias_cfg: DebiasConfig) -> DataTable:
+    """The table rewritten by a debiaser trained on it."""
+    dmodel, _ = train_debiaser(table, debias_cfg)
+    return transform(dmodel, table)
+
+
 @dataclass
 class SynthCheckResult:
     spec: SyntheticSpec
@@ -153,13 +165,24 @@ def synth_check(
     if model_cfg is None:
         model_cfg = TrainConfig(seed=spec.seed)
 
-    dmodel, _ = train_debiaser(table, debias_cfg)
-    debiased = transform(dmodel, table)
-
-    auc_pre = leakage_probe(table, PROTECTED_COLUMN, spec.seed)
-    auc_post = leakage_probe(debiased, PROTECTED_COLUMN, spec.seed)
-    obs_pre, fair_pre, bias_pre = _fit_and_score(table, fair_labels, spec.seed, model_cfg)
-    obs_post, fair_post, bias_post = _fit_and_score(debiased, fair_labels, spec.seed, model_cfg)
+    # With two usable CPUs and a large enough table, one forked worker trains and rewrites
+    # while this process probes and fits the raw table, then probes the rewritten table
+    # while this process fits it. Otherwise the same calls run here, one after another.
+    # Every stage is seeded and self-contained, so the results are the same bits either
+    # way. Errors are raised in the order of the stages in a sequential run: train and
+    # transform, probe pre, probe post, fit pre, fit post.
+    overlapping = 2 if table.n_rows >= MIN_ROWS_FOR_A_WORKER else 1
+    with parallel.Pool(parallel.worker_count(overlapping) - 1) as pool:
+        rewriting = pool.submit(_debiased, table, debias_cfg)
+        probe_pre = parallel.Outcome(leakage_probe, table, PROTECTED_COLUMN, spec.seed)
+        fit_pre = parallel.Outcome(_fit_and_score, table, fair_labels, spec.seed, model_cfg)
+        debiased = rewriting.result()
+        auc_pre = probe_pre.result()
+        probe_post = pool.submit(leakage_probe, debiased, PROTECTED_COLUMN, spec.seed)
+        fit_post = parallel.Outcome(_fit_and_score, debiased, fair_labels, spec.seed, model_cfg)
+        auc_post = probe_post.result()
+    obs_pre, fair_pre, bias_pre = fit_pre.result()
+    obs_post, fair_post, bias_post = fit_post.result()
 
     return SynthCheckResult(
         spec=spec,

@@ -467,12 +467,6 @@ def split_indices_on(table: DataTable, column: str, test_fraction: float, seed: 
     return np.flatnonzero(~in_test).tolist(), np.flatnonzero(in_test).tolist()
 
 
-def train_test_split(table: DataTable, test_fraction: float, seed: int):
-    """Split into (train, test) tables; same seed always gives the same rows."""
-    train_idx, test_idx = split_indices(table, test_fraction, seed)
-    return table.take_rows(train_idx), table.take_rows(test_idx)
-
-
 # ---------------------------------------------------------------------------
 # design-matrix encoding
 

@@ -13,6 +13,8 @@ every row per audit cell, `reference_csv_text` writes through `csv.writer`,
 `reference_auc` walks each run of tied scores with a `while` loop,
 `reference_sigmoid` fills its two branches through boolean masks, and
 `reference_fit_logistic` takes the two-log cross-entropy on both labels.
+`softmax` is the plain row-wise softmax, taken with numpy's own row
+reductions, against which the fused softmax cross-entropy gradient is checked.
 """
 
 import csv
@@ -59,6 +61,13 @@ def finite_diff_param_grads(net, X, loss_of_output, step=1e-5):
             gb[idx] = (lp - lm) / (2 * step)
         grads.append((gw, gb))
     return grads
+
+
+def softmax(z):
+    """exp(z - row max) / row sum, with numpy's axis=1 reductions."""
+    z = np.asarray(z, dtype=float)
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def max_relative_error(analytic, numeric, floor=1e-8):

@@ -207,6 +207,13 @@ def test_usage_errors_exit_one(tmp_path, capsys, small_csv):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "out.csv").exists()
+    for seeds in (0, -2):
+        capsys.readouterr()
+        assert _run(["run-study", "--config", STUDIES / "heart.json", "--seeds", seeds,
+                     "--out", tmp_path / "study", "--offline"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --seeds") and err.count("\n") == 1
+    assert not (tmp_path / "study").exists()
 
 
 def test_run_study_command_and_rerun_idempotence(tmp_path):
@@ -434,12 +441,22 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c["debias"].update(adversary_weight=math.inf), "adversary_weight"),
     ("heart", lambda c: c["debias"].update(learning_rate=math.nan), "learning_rate"),
     ("heart", lambda c: c["debias"].update(learning_rate=math.inf), "learning_rate"),
+    ("heart", lambda c: c.update(seeds=[]), "seeds"),
+    ("heart", lambda c: c.update(seeds="ab"), "seeds"),
+    ("heart", lambda c: c.update(seeds=[1.5]), "seeds"),
+    ("heart", lambda c: c.update(seeds=[True]), "seeds"),
+    ("heart", lambda c: c.update(seeds=[0, 0]), "seeds"),
+    ("heart", lambda c: c.update(seeds=[-1]), "seeds"),
+    ("heart", lambda c: c.update(test_fraction="x"), "test_fraction"),
+    ("heart", lambda c: c.update(test_fraction=1.5), "test_fraction"),
 ], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
         "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
         "model-learning-rate", "model-ridge-negative", "model-ridge-type",
         "model-learning-rate-nan", "model-learning-rate-inf", "model-l2-nan", "model-l2-inf",
         "model-ridge-inf", "debias-lambda-nan", "debias-lambda-inf",
-        "debias-learning-rate-nan", "debias-learning-rate-inf"])
+        "debias-learning-rate-nan", "debias-learning-rate-inf", "seeds-empty", "seeds-string",
+        "seeds-float", "seeds-bool", "seeds-repeated", "seeds-negative", "test-fraction-string",
+        "test-fraction-range"])
 def test_run_study_config_typo_exits_two(tmp_path, capsys, study, edit, named):
     bad = _edited_study(tmp_path, study, edit)
     assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2
@@ -464,10 +481,25 @@ def test_run_study_minibatch_divergence_exits_three(tmp_path, capsys):
     assert "non-finite" in err
 
 
-def test_run_study_divergence_in_worker_processes_exits_three(tmp_path, capsys, monkeypatch):
-    import fairprep.studies as studies
+@pytest.mark.parametrize("workers", [1, 2])
+def test_synth_check_divergence_exits_three(capsys, monkeypatch, workers):
+    import fairprep.parallel as parallel
+    import fairprep.synth as synth
+    from fairprep.debias import DebiasConfig
 
-    monkeypatch.setattr(studies, "_worker_count", lambda n_seeds: 2)
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
+    diverging = DebiasConfig(learning_rate=1e160, batch_size=30, epochs=2)
+    monkeypatch.setattr(cli, "synth_check", lambda spec: synth.synth_check(spec, diverging))
+    assert _run(["synth-check", "--n", 600]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert "non-finite" in err
+
+
+def test_run_study_divergence_in_worker_processes_exits_three(tmp_path, capsys, monkeypatch):
+    import fairprep.parallel as parallel
+
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
     diverging = _edited_study(
         tmp_path, "heart",
         lambda c: c["debias"].update(learning_rate=1e160, batch_size=30, epochs=2),

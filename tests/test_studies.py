@@ -9,8 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairprep import studies
-from fairprep.debias import TrainingTrace
+from fairprep import parallel, studies
+from fairprep.debias import DebiasConfig, TrainingTrace
 from fairprep.ioutil import canonical_json
 from fairprep.mlcore import SingularSystemError, TrainingDivergedError
 from fairprep.studies import (
@@ -20,6 +20,7 @@ from fairprep.studies import (
     prepare_table,
     run_study,
 )
+from fairprep.synth import SyntheticSpec, synth_check
 from fairprep.tabular import DataError, SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,6 +89,15 @@ def test_checksum_mismatch_is_fatal(tmp_path):
 def test_unknown_transform_op_is_fatal(toy_table):
     with pytest.raises(Exception, match="unknown transform"):
         apply_transforms(toy_table, [{"op": "frobnicate"}])
+
+
+def test_run_study_with_no_seeds_raises_before_loading_anything(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("loaded a table for an empty seed list")
+
+    monkeypatch.setattr(studies, "load_study_table", refuse)
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_study(StudyConfig.from_json(STUDY_DIR / "heart.json"), seeds=[])
 
 
 def test_run_study_repeated_seed_identical(study_results):
@@ -184,14 +194,15 @@ def _quick_heart(**debias):
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(studies, "_worker_count", lambda n_seeds: workers)
+    # not capped at the task count, so synth_check uses a worker on a small table too
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
 
 
 def test_worker_count_is_one_per_usable_cpu_capped_at_the_seeds():
     cpus = len(os.sched_getaffinity(0))
-    assert studies._worker_count(1) == 1
-    assert studies._worker_count(cpus + 3) == cpus
-    assert studies._worker_count(2) == min(cpus, 2)
+    assert parallel.worker_count(1) == 1
+    assert parallel.worker_count(cpus + 3) == cpus
+    assert parallel.worker_count(2) == min(cpus, 2)
 
 
 def test_worker_processes_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
@@ -291,7 +302,9 @@ def test_this_process_has_one_thread_when_it_forks_a_worker(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         run_study(_quick_heart(), seeds=[0, 1])
-    assert counts == [1, 1]
+        # synth_check forks one worker to train in, next to this process
+        synth_check(SyntheticSpec(n=300, seed=1), DebiasConfig(seed=1, epochs=2))
+    assert counts == [1, 1, 1]
 
 
 def _openblas_threads():

@@ -1,9 +1,16 @@
+import json
+import math
+import os
+import struct
+
 import numpy as np
 import pytest
 
-from fairprep.debias import leakage_probe
+from fairprep import parallel, synth
+from fairprep.debias import DebiasConfig, leakage_probe
+from fairprep.mlcore import TrainingDivergedError
 from fairprep.synth import PROTECTED_COLUMN, TARGET_COLUMN, SyntheticSpec, make_synthetic, synth_check
-from fairprep.tabular import DataError
+from fairprep.tabular import DataError, SchemaError
 
 
 def test_spec_validation():
@@ -90,3 +97,101 @@ def test_synth_check_jsonable():
 
     spec = SyntheticSpec(n=600, seed=8)
     json.dumps(synth_check(spec).to_jsonable())
+
+
+# ---------------------------------------------------------------------------
+# the debiaser in a worker process
+
+
+QUICK = SyntheticSpec(n=600, seed=8)
+DIVERGING = DebiasConfig(seed=8, learning_rate=1e160, batch_size=30, epochs=3)
+
+
+def _force_workers(monkeypatch, workers):
+    # not capped at the task count, so a table below MIN_ROWS_FOR_A_WORKER uses the worker too
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
+
+
+def _float_bits(value):
+    """Every float in a nested structure, as its IEEE-754 bytes, in a fixed order."""
+    if isinstance(value, float):
+        return [struct.pack("<d", value)]
+    if isinstance(value, dict):
+        return [b for key in sorted(value, key=str) for b in _float_bits(value[key])]
+    if isinstance(value, (list, tuple)):
+        return [b for item in value for b in _float_bits(item)]
+    return []
+
+
+def test_synth_check_gives_the_same_bits_in_a_worker_and_in_process(monkeypatch):
+    results = []
+    for workers in (2, 1):
+        _force_workers(monkeypatch, workers)
+        results.append(synth_check(SyntheticSpec(n=1200, seed=6)).to_jsonable())
+    in_worker, in_process = results
+    assert json.dumps(in_worker, sort_keys=True) == json.dumps(in_process, sort_keys=True)
+    assert len(_float_bits(in_worker)) >= 8
+    assert _float_bits(in_worker) == _float_bits(in_process)
+
+
+def test_a_small_table_forks_no_worker(monkeypatch):
+    def refuse():
+        raise AssertionError("forked a worker for a small table")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert QUICK.n < synth.MIN_ROWS_FOR_A_WORKER
+    synth_check(QUICK, DebiasConfig(seed=8, latent_dim=4, epochs=2))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_training_warning_reaches_the_callers_filters(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    with pytest.warns(UserWarning, match="latent_dim 500") as record:
+        synth_check(QUICK, DebiasConfig(seed=8, latent_dim=500, epochs=2))
+    latent = [w for w in record if "latent_dim" in str(w.message)]
+    assert len(latent) == 1
+    assert latent[0].filename == synth.__file__
+
+
+def _fails_on_any_table(table, *args):
+    raise DataError(f"caller-side stage failed on {table.n_rows} rows")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_diverging_debiaser_is_raised_ahead_of_any_caller_side_error(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
+    monkeypatch.setattr(synth, "leakage_probe", _fails_on_any_table)
+    monkeypatch.setattr(synth, "_fit_and_score", _fails_on_any_table)
+    with pytest.raises(TrainingDivergedError, match="non-finite") as err:
+        synth_check(QUICK, DIVERGING)
+    assert len(err.value.trace) == err.value.epoch + 1
+    assert not math.isfinite(err.value.trace.combined_loss[-1])
+
+
+def _is_raw(table) -> bool:
+    return np.array_equal(table.array("f1"), make_synthetic(QUICK)[0].array("f1"))
+
+
+def _probe_fails_on_the_rewritten_table(table, protected, seed):
+    if not _is_raw(table):
+        raise SchemaError("post-debias probe failed")
+    return 0.75
+
+
+def _fit_fails_on_the_raw_table(table, *args):
+    if _is_raw(table):
+        raise DataError("pre-debias fit failed")
+    return 0.5, 0.5, {}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_otherwise_the_first_failure_of_a_sequential_run_is_raised(monkeypatch, workers):
+    # a sequential run probes both tables before it fits either
+    _force_workers(monkeypatch, workers)
+    cfg = DebiasConfig(seed=8, latent_dim=4, epochs=2)
+    monkeypatch.setattr(synth, "_fit_and_score", _fit_fails_on_the_raw_table)
+    with pytest.raises(DataError, match="pre-debias fit failed"):
+        synth_check(QUICK, cfg)
+    monkeypatch.setattr(synth, "leakage_probe", _probe_fails_on_the_rewritten_table)
+    with pytest.raises(SchemaError, match="post-debias probe failed"):
+        synth_check(QUICK, cfg)

@@ -31,7 +31,6 @@ from fairprep.tabular import (
     save_schema,
     split_indices,
     split_indices_on,
-    train_test_split,
     write_csv,
 )
 
@@ -561,8 +560,14 @@ def _split_table(n=100, pos_rate=0.5):
     )
 
 
+def _split_tables(table, test_fraction, seed):
+    train_idx, test_idx = split_indices(table, test_fraction, seed)
+    assert sorted(train_idx + test_idx) == list(range(table.n_rows))  # a partition of the rows
+    return table.take_rows(train_idx), table.take_rows(test_idx)
+
+
 def test_split_sizes():
-    train, test = train_test_split(_split_table(100), 0.3, seed=0)
+    train, test = _split_tables(_split_table(100), 0.3, seed=0)
     assert train.n_rows == 70 and test.n_rows == 30
 
 
@@ -576,7 +581,7 @@ def test_split_deterministic():
 
 
 def test_split_stratified_balance():
-    train, test = train_test_split(_split_table(100, pos_rate=0.8), 0.3, seed=1)
+    train, test = _split_tables(_split_table(100, pos_rate=0.8), 0.3, seed=1)
     assert abs(sum(test.column("y")) - 24) <= 1
     assert test.n_rows == 30
 
@@ -600,7 +605,7 @@ def test_split_numeric_target_plain_shuffle():
         [ColumnSpec("x", "numeric", "feature"), ColumnSpec("y", "numeric", "target")],
         {"x": [float(i) for i in range(20)], "y": [float(i) / 20 for i in range(20)]},
     )
-    train, test = train_test_split(t, 0.25, seed=3)
+    train, test = _split_tables(t, 0.25, seed=3)
     assert train.n_rows == 15 and test.n_rows == 5
 
 
