@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
                    help="run seeds 0..n-1 instead of the config's seed list")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--offline", action="store_true",
-                   help="never fetch the real dataset; use cache or bundled data")
+                   help="accepted and ignored: datasets are never downloaded")
     p.add_argument("--data-dir", default=None,
                    help=f"dataset cache directory (default ${DATA_DIR_ENV})")
 
@@ -208,6 +208,8 @@ def _cmd_audit(args) -> int:
         parts = [p.strip() for p in args.group_pair.split(",")]
         if len(parts) != 2:
             raise _UsageError("--group-pair needs exactly two comma-separated labels")
+        if parts[0] == parts[1]:
+            raise _UsageError(f"--group-pair names group {parts[0]!r} twice")
         pair = tuple(parts)
     try:
         lo, hi = (float(v) for v in args.value_range.split(","))
@@ -241,7 +243,7 @@ def _cmd_run_study(args) -> int:
     cfg = StudyConfig.from_json(args.config)
     seeds = list(range(args.seeds)) if args.seeds is not None else None
     data_dir = args.data_dir or os.environ.get(DATA_DIR_ENV)
-    result = run_study(cfg, out_dir=args.out, data_dir=data_dir, offline=args.offline, seeds=seeds)
+    result = run_study(cfg, out_dir=args.out, data_dir=data_dir, seeds=seeds)
     agg = result.aggregate
     for stratum, scores in agg["bias_scores"].items():
         sys.stdout.write(

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import math
 import statistics
-import urllib.request
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
@@ -178,23 +177,17 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def load_study_table(cfg: StudyConfig, data_dir=None, offline: bool = True):
+def load_study_table(cfg: StudyConfig, data_dir=None):
     """Load the study's dataset, preferring the real source when present.
 
-    Looks for `source.filename` under `data_dir`, optionally downloading it
-    when offline=False. Falls back to the bundled subsample with a warning
-    recorded in the returned source info.
+    Looks for `source.filename` under `data_dir` and checks it against
+    `source.sha256`; nothing is downloaded. Falls back to the bundled
+    subsample with a warning recorded in the returned source info.
     """
     info = {"url": cfg.source.get("url"), "warning": None}
     filename = cfg.source.get("filename")
     if data_dir and filename:
         candidate = Path(data_dir) / filename
-        if not candidate.exists() and not offline and cfg.source.get("url"):
-            try:
-                candidate.parent.mkdir(parents=True, exist_ok=True)
-                urllib.request.urlretrieve(cfg.source["url"], candidate)  # pragma: no cover
-            except Exception as exc:  # noqa: BLE001 - fall back to bundled data
-                info["warning"] = f"download failed: {exc}"
         if candidate.exists():
             digest = _sha256(candidate)
             expected = cfg.source.get("sha256")
@@ -210,7 +203,7 @@ def load_study_table(cfg: StudyConfig, data_dir=None, offline: bool = True):
     bundled_path = cfg.base_dir / bundled
     if not bundled_path.exists():
         raise DataError(f"study {cfg.name!r}: bundled subsample missing at {bundled_path}")
-    if info["warning"] is None and cfg.source.get("url"):
+    if cfg.source.get("url"):
         info["warning"] = "real dataset not present; fell back to the bundled subsample"
     info.update({"path": str(bundled_path), "sha256": _sha256(bundled_path), "bundled": True})
     return load_csv(bundled_path, cfg.schema), info
@@ -388,13 +381,12 @@ def _run_seed(cfg: StudyConfig, table: DataTable, seed: int) -> StudyRun:
     return StudyRun(seed, _downstream(cfg, table, seed), _downstream(cfg, debiased, seed))
 
 
-def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, offline: bool = True,
-              seeds=None) -> StudyResult:
+def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, seeds=None) -> StudyResult:
     """Run every seed of a study: prepare, model, audit, debias, repeat, aggregate."""
     seeds = list(cfg.seeds if seeds is None else seeds)
     if not seeds:
         raise ValueError("run_study needs at least one seed")
-    table, source_info = load_study_table(cfg, data_dir=data_dir, offline=offline)
+    table, source_info = load_study_table(cfg, data_dir=data_dir)
     table = prepare_table(cfg, table)
     # one worker per seed and usable CPU; with one, the seeds run in this process
     workers = parallel.worker_count(len(seeds))

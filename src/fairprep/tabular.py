@@ -12,8 +12,10 @@ features.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from itertools import islice, repeat
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -239,37 +241,76 @@ def _parse_column(spec: ColumnSpec, raw) -> np.ndarray:
         # the exact cell first, so a label with outer spaces reads back as itself
         return np.array([c if (c := codes.get(r)) is not None else codes.get(r.strip(), -1)
                          for r in raw], dtype=np.intp)
-    values = np.array([_float_or_nan(r) for r in raw], dtype=float)  # "" and "NA" give NaN
+    try:
+        values = np.fromiter(map(float, raw), dtype=float, count=len(raw))
+    except ValueError:  # an empty, "NA" or other unparseable cell: NaN for each such cell
+        values = np.array([_float_or_nan(r) for r in raw], dtype=float)
     values[~np.isfinite(values)] = np.nan
     if spec.kind == "binary":
         return np.where((values == 0.0) | (values == 1.0), values, -1).astype(np.intp)
     return values
 
 
+def _ragged(path, cells: int, width: int) -> DataError:
+    return DataError(f"{path}: row with {cells} cells, expected {width}")
+
+
+def _reader_columns(text: str, path) -> tuple:
+    """`read_csv_columns` by `csv.reader`, for text that a plain split cannot read."""
+    try:
+        reader = csv.reader(io.StringIO(text, newline=""))
+        header = next(reader)
+        rows = list(filter(None, reader))
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise DataError(f"{path}: {exc}") from None
+    if set(map(len, rows)) - {len(header)}:
+        bad = next(row for row in rows if len(row) != len(header))
+        raise _ragged(path, len(bad), len(header))
+    # one list per column, not a tuple per row: far fewer objects for the collector to scan
+    return header, [list(map(itemgetter(i), rows)) for i in range(len(header))]
+
+
 def read_csv_columns(path) -> tuple:
     """The header of a UTF-8 CSV file and one list of cell strings per header column.
 
     Blank lines are skipped, as `csv.DictReader` skips them. A missing file is
-    a FileNotFoundError; an empty file, bytes that are not UTF-8, or a row
-    whose cell count differs from the header's is a DataError naming the file.
+    a FileNotFoundError; an empty file, bytes that are not UTF-8, a field over
+    `csv.field_size_limit()`, or a row whose cell count differs from the
+    header's is a DataError naming the file.
+
+    Text with no quote, CR or NUL, and no line longer than the field size
+    limit, holds one row per line and one cell per comma-separated piece, so
+    it is cut with plain string splits. Any other text goes to `csv.reader`.
+    Both paths give the same cells and the same errors.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            rows = list(filter(None, reader))
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if header is None:
+    if not text:
         raise DataError(f"{path}: empty file")
-    if set(map(len, rows)) - {len(header)}:
-        bad = next(row for row in rows if len(row) != len(header))
-        raise DataError(f"{path}: row with {len(bad)} cells, expected {len(header)}")
-    # one list per column, not a tuple per row: far fewer objects for the collector to scan
-    return header, [list(map(itemgetter(i), rows)) for i in range(len(header))]
+    if any(c in text for c in '"\r\0'):
+        return _reader_columns(text, path)
+    lines = text.split("\n")
+    if max(map(len, lines)) > csv.field_size_limit():
+        return _reader_columns(text, path)
+    del text
+    header = lines[0].split(",") if lines[0] else []  # csv.reader reads a blank line as no cells
+    body = list(filter(None, islice(lines, 1, None)))
+    del lines
+    width = len(header)
+    if set(map(str.count, body, repeat(","))) - {width - 1}:
+        bad = next(line for line in body if line.count(",") != width - 1)
+        raise _ragged(path, bad.count(",") + 1, width)
+    if not body:
+        return header, [[] for _ in header]
+    cells = ",".join(body).split(",")
+    del body
+    return header, [cells[i::width] for i in range(width)]
 
 
 def load_csv(path, schema) -> DataTable:

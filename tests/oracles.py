@@ -10,6 +10,7 @@ bit: `reference_adam_step` updates one tensor at a time,
 fairprep's forward and backward passes and that per-tensor Adam,
 `reference_group_stats` and `reference_histogram` scan
 every row per audit cell, `reference_csv_text` writes through `csv.writer`,
+`reference_read_csv_columns` reads every file through `csv.reader`,
 `reference_auc` walks each run of tied scores with a `while` loop,
 `reference_sigmoid` fills its two branches through boolean masks, and
 `reference_fit_logistic` takes the two-log cross-entropy on both labels.
@@ -20,6 +21,8 @@ reductions, against which the fused softmax cross-entropy gradient is checked.
 import csv
 import io
 import math
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 
@@ -272,6 +275,37 @@ def reference_csv_text(names, rows):
         csv.writer(sink, lineterminator="\r\n").writerow(row)
         lines.append(sink.getvalue()[:-2] + "\n")
     return "".join(lines)
+
+
+def reference_read_csv_columns(path):
+    """(header, columns) of a UTF-8 CSV file, read row by row with `csv.reader`.
+
+    Raises what fairprep's `read_csv_columns` raises, with the same message:
+    FileNotFoundError for a missing file, and a DataError naming the file for
+    an empty file, bytes that are not UTF-8, a `csv.Error` (such as a field
+    over `csv.field_size_limit()`), or the first row whose cell count differs
+    from the header's. Blank lines are skipped.
+    """
+    from fairprep.tabular import DataError
+
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            rows = list(filter(None, reader))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: {exc}") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if set(map(len, rows)) - {len(header)}:
+        bad = next(row for row in rows if len(row) != len(header))
+        raise DataError(f"{path}: row with {len(bad)} cells, expected {len(header)}")
+    return header, [list(map(itemgetter(i), rows)) for i in range(len(header))]
 
 
 def reference_auc(scores, labels):

@@ -108,6 +108,32 @@ def test_bias_score_scale_and_shift_invariant(mus, sigmas, scale, shift):
     assert bias_score(b, a) == pytest.approx(bias_score(a, b), rel=1e-12)
 
 
+@st.composite
+def _two_group_cases(draw):
+    """Estimates of groups "a" and "b" in one or two strata, two to eight per cell, rows shuffled."""
+    strata_set = ["s", "t"][: draw(st.integers(1, 2))]
+    rows = [(g, s) for s in strata_set for g in "ab" for _ in range(draw(st.integers(2, 8)))]
+    rows = [rows[i] for i in draw(st.permutations(range(len(rows))))]
+    estimates = draw(st.lists(st.floats(-100, 100), min_size=len(rows), max_size=len(rows)))
+    return estimates, [g for g, _ in rows], [s for _, s in rows]
+
+
+@settings(max_examples=150)
+@given(_two_group_cases(), st.floats(1e-2, 1e2), st.floats(-100, 100))
+def test_property_audit_scores_invariant_to_group_swap_and_affine_rescaling(case, scale, shift):
+    estimates, groups, strata = case
+    assume(all(s.sigma >= 1e-3 for s in group_stats(estimates, groups, strata)))
+
+    def scores(values, pair):
+        return [row.score for row in audit(values, groups, strata, group_pair=pair).bias_table.rows]
+
+    base = scores(estimates, ("a", "b"))
+    # |mu_a - mu_b| and the average of the two sigmas are symmetric in IEEE arithmetic too
+    assert scores(estimates, ("b", "a")) == base
+    rescaled = scores([scale * x + shift for x in estimates], ("a", "b"))
+    assert rescaled == pytest.approx(base, rel=1e-6)
+
+
 def test_histogram_basic_placement():
     h = histogram([0.05, 0.15, 0.95], 10, 0.0, 1.0)
     assert h.counts == [1, 1, 0, 0, 0, 0, 0, 0, 0, 1]

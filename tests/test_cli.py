@@ -191,6 +191,32 @@ def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, small_csv):
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "study").exists()
 
 
+def test_field_over_the_csv_size_limit_exits_two_naming_the_file(tmp_path, capsys, small_csv):
+    big = tmp_path / "big.csv"
+    big.write_text("x,y\n" + "a" * 200_000 + ",1\n")
+    _, schema_path = small_csv
+    for argv in (
+        ["audit", "--estimates", big, "--groups", "y"],
+        ["debias", "--input", big, "--schema", schema_path, "--protected", "grp",
+         "--output", tmp_path / "out.csv", "--epochs", 1],
+    ):
+        capsys.readouterr()
+        assert _run(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"data error: {big}: field larger than field limit (131072)\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_audit_group_pair_naming_one_group_twice_exits_one(tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    est.write_text("estimate,g\n0.2,a\n0.4,a\n0.2,b\n0.4,b\n")
+    for pair in ("a,a", "a, a"):
+        capsys.readouterr()
+        assert _run(["audit", "--estimates", est, "--groups", "g", "--group-pair", pair]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: --group-pair names group 'a' twice\n"
+
+
 def test_usage_errors_exit_one(tmp_path, capsys, small_csv):
     assert _run(["audit", "--estimates"]) == 1
     assert _run(["nonsense-command"]) == 1
@@ -319,12 +345,14 @@ DEBIAS_BAD = {
     "--adversary-steps": st.integers(max_value=0),
     "--latent": st.integers(max_value=0),
 }
+RUN_STUDY_BAD = {"--seeds": st.integers(max_value=0)}
+REFUSED = {"synth-check": SYNTH_CHECK_BAD, "debias": DEBIAS_BAD, "run-study": RUN_STUDY_BAD}
 
 
 @st.composite
 def _refused_command(draw):
-    command = draw(st.sampled_from(["synth-check", "debias"]))
-    table = SYNTH_CHECK_BAD if command == "synth-check" else DEBIAS_BAD
+    command = draw(st.sampled_from(sorted(REFUSED)))
+    table = REFUSED[command]
     flags = draw(st.lists(st.sampled_from(sorted(table)), min_size=1, max_size=len(table),
                           unique=True))
     options = []
@@ -340,6 +368,7 @@ def no_training(monkeypatch):
 
     monkeypatch.setattr(cli, "train_debiaser", refuse)
     monkeypatch.setattr(cli, "synth_check", refuse)
+    monkeypatch.setattr(cli, "run_study", refuse)
 
 
 @settings(max_examples=150, deadline=None,
@@ -354,6 +383,8 @@ def test_property_out_of_range_numeric_options_exit_one_or_two_before_training(
     if command == "debias":
         argv += ["--input", csv_path, "--schema", schema_path, "--protected", "grp",
                  "--output", tmp_path / "out.csv"]
+    elif command == "run-study":
+        argv += ["--config", STUDIES / "heart.json", "--out", tmp_path / "study"]
     capsys.readouterr()
     try:
         code = _run(argv)
@@ -362,7 +393,52 @@ def test_property_out_of_range_numeric_options_exit_one_or_two_before_training(
     out, err = capsys.readouterr()
     assert code in (1, 2), (options, code)
     assert out == "" and err.count("\n") == 1 and "Traceback" not in err
-    assert not (tmp_path / "out.csv").exists()
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "study").exists()
+
+
+@pytest.fixture(scope="module")
+def audit_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli-audit") / "est.csv"
+    path.write_text("estimate,g,s\n0.1,a,x\n0.7,a,x\n0.4,b,x\n0.9,b,x\n"
+                    "-0.5,a,y\n0.3,b,y\n1.0,b,y\n2.5,a,y\n")
+    return path
+
+
+_RANGE_ENDS = st.floats() | st.integers(-3, 3)
+AUDIT_OPTIONS = {
+    "--bins": st.integers(max_value=9_999),  # numpy allocates one counter per bin
+    "--range": st.one_of(
+        st.tuples(_RANGE_ENDS, _RANGE_ENDS).map(lambda ends: f"{ends[0]!r},{ends[1]!r}"),
+        st.text(st.sampled_from("0123456789.,-+e infa"), max_size=12),
+    ),
+}
+
+
+@st.composite
+def _audit_options(draw):
+    flags = draw(st.lists(st.sampled_from(sorted(AUDIT_OPTIONS)), min_size=1, max_size=2,
+                          unique=True))
+    return [f"{flag}={draw(AUDIT_OPTIONS[flag])}" for flag in flags]
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(options=_audit_options())
+def test_property_audit_bins_and_range_exit_zero_one_or_two_with_one_line(
+    options, audit_csv, capsys
+):
+    capsys.readouterr()
+    try:
+        code = _run(["audit", "--estimates", audit_csv, "--groups", "g", "--strata", "s",
+                     *options])
+    except Exception as exc:  # noqa: BLE001 - from the shell this is a traceback
+        pytest.fail(f"{options} raised {exc!r}")
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (options, code)
+    if code == 0:
+        assert err == "" and "mu diff / sigma average" in out
+    else:
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_debias_divergence_exits_three_with_partial_report(tmp_path, small_csv, monkeypatch):

@@ -6,9 +6,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fairprep.tabular as tabular
 from fairprep.tabular import (
     KINDS,
     ColumnSpec,
@@ -28,6 +29,7 @@ from fairprep.tabular import (
     load_schema,
     nearest_rank_percentile,
     quartile_binarize,
+    read_csv_columns,
     save_schema,
     split_indices,
     split_indices_on,
@@ -264,6 +266,102 @@ def test_load_csv_rejects_bytes_that_are_not_utf8(tmp_path):
     p.write_bytes(b"a,b\n1,\xff\n")
     with pytest.raises(DataError, match="not UTF-8"):
         load_csv(p, [ColumnSpec("a", "numeric"), ColumnSpec("b", "numeric")])
+
+
+def _read_outcome(read, path):
+    """What a reader returns for `path`, or the type and message of the error it raises."""
+    try:
+        return read(path)
+    except (DataError, FileNotFoundError) as exc:
+        return type(exc), str(exc)
+
+
+_READER_CHARS = ("a", "\u00e9", " ", ",", '"', "\r", "\n", "\0")
+
+
+@st.composite
+def _csv_texts(draw):
+    """Any text of `_READER_CHARS`, or lines of quote-free rows with blank and ragged lines mixed in."""
+    if draw(st.booleans()):
+        return draw(st.text(st.sampled_from(_READER_CHARS), max_size=40))
+    cell = st.text(st.sampled_from(("a", "\u00e9", " ")), max_size=3)
+    width = draw(st.integers(1, 4))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("row", "row", "row", "blank", "ragged")))
+        n = width if kind == "row" else 0 if kind == "blank" else draw(st.integers(1, 5))
+        lines.append(",".join(draw(st.lists(cell, min_size=n, max_size=n))))
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n")))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_csv_texts(), st.sampled_from((csv.field_size_limit(), 3)))
+@example("a,b\n1,2\n3\n4,5,6\n", csv.field_size_limit())  # the first ragged row is named
+@example("\na,b\n1,2\n", csv.field_size_limit())  # a blank first line is a header of no cells
+@example("a,b", csv.field_size_limit())  # a header with no trailing newline
+@example("a,b\n\n1,2\n\n\n3,4\n\n", csv.field_size_limit())  # blank body lines
+@example("", csv.field_size_limit())
+@example("\n", csv.field_size_limit())
+@example("ab,c\nd,efgh\n", 3)  # a line over the limit: csv.reader names the long field
+def test_property_read_csv_columns_matches_csv_reader_oracle(text, limit):
+    default_limit = csv.field_size_limit(limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            path.write_bytes(text.encode("utf-8"))
+            got = _read_outcome(read_csv_columns, path)
+            assert got == _read_outcome(oracles.reference_read_csv_columns, path)
+    finally:
+        csv.field_size_limit(default_limit)
+
+
+@pytest.mark.parametrize("data", [None, b"a,b\n1,\xff\n", b"a,b\n1,2\n\xc3", b'"a",b\n\xe9\n'],
+                         ids=["missing", "bad-byte", "truncated", "bad-byte-quoted"])
+def test_read_errors_match_the_oracle(tmp_path, data):
+    path = tmp_path / "t.csv"
+    if data is not None:
+        path.write_bytes(data)
+    got = _read_outcome(read_csv_columns, path)
+    assert got == _read_outcome(oracles.reference_read_csv_columns, path)
+    assert got[0] is (FileNotFoundError if data is None else DataError)
+
+
+def test_quote_free_file_takes_the_split_path_and_reads_the_oracle_cells(tmp_path, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_text("x,label,flag\n1.5, a b,1\n\n,NA,0\n-2e3,\u00e9,\n")
+
+    def refuse(text, path):
+        raise AssertionError("a quote-free file went to csv.reader")
+
+    monkeypatch.setattr(tabular, "_reader_columns", refuse)
+    header, columns = read_csv_columns(path)
+    assert (header, columns) == oracles.reference_read_csv_columns(path)
+    assert columns == [["1.5", "", "-2e3"], [" a b", "NA", "\u00e9"], ["1", "0", ""]]
+
+
+@pytest.mark.parametrize("text", ['a,b\n"1,5",2\n', "a,b\r\n1,2\r\n", "a,b\n1\x00,2\n"])
+def test_quote_cr_or_nul_sends_a_file_to_csv_reader(tmp_path, monkeypatch, text):
+    original, calls = tabular._reader_columns, []
+
+    def spy(text, path):
+        calls.append(path)
+        return original(text, path)
+
+    monkeypatch.setattr(tabular, "_reader_columns", spy)
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert read_csv_columns(path) == oracles.reference_read_csv_columns(path)
+    assert calls == [path]
+
+
+def test_field_over_the_size_limit_is_a_data_error_on_either_path(tmp_path):
+    path = tmp_path / "t.csv"
+    for head in ("x,y\n", '"x",y\n'):
+        path.write_text(head + "a" * 200_000 + ",1\n")
+        with pytest.raises(DataError, match=r"field larger than field limit \(131072\)"):
+            read_csv_columns(path)
+        assert _read_outcome(read_csv_columns, path) == _read_outcome(
+            oracles.reference_read_csv_columns, path)
 
 
 def test_schema_file_round_trip(tmp_path, toy_table):
