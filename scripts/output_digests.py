@@ -11,6 +11,9 @@ The runs use the checkout this script sits in:
   `id` column and one missing numeric cell;
 - the model that run saved, read back with `load_debias_model`, applied by
   `transform` to the same input and written with `write_csv`;
+- `train_debiaser` on that input with 64-row mini-batches and a one-column
+  latent code and adversary hidden layer: the model, the trace CSV, and the
+  input rewritten by `transform` and written with `write_csv`;
 - `fairprep audit --report` on a generated 400-row estimates file;
 - `scripts/make_bundled_data.py`, run in a copy of the checkout: every file
   it writes under `data/`.
@@ -38,7 +41,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from fairprep.cli import main as cli_main  # noqa: E402
-from fairprep.debias import load_debias_model, transform  # noqa: E402
+from fairprep.debias import (  # noqa: E402
+    DebiasConfig,
+    load_debias_model,
+    save_debias_model,
+    train_debiaser,
+    transform,
+    write_trace_csv,
+)
 from fairprep.ioutil import write_json  # noqa: E402
 from fairprep.studies import StudyConfig, run_study  # noqa: E402
 from fairprep.synth import SyntheticSpec, synth_check  # noqa: E402
@@ -96,7 +106,12 @@ def run_all(out: Path) -> None:
             raise SystemExit(f"fairprep {argv[0]} exited {code}")
     model = load_debias_model(cli / "model.json")
     people = load_csv(cli / "people.csv", [ColumnSpec("id", "numeric", "drop"), *model.schema])
-    write_csv(transform(model, drop_columns(people, ["id"])), cli / "reloaded.csv")
+    people = drop_columns(people, ["id"])
+    write_csv(transform(model, people), cli / "reloaded.csv")
+    narrow, trace = train_debiaser(people, DebiasConfig(latent_dim=1, batch_size=64, epochs=20, seed=5))
+    save_debias_model(narrow, cli / "narrow_model.json")
+    write_trace_csv(trace, cli / "narrow_trace.csv")
+    write_csv(transform(narrow, people), cli / "narrow_debiased.csv")
 
     copy = out / "checkout"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))

@@ -295,6 +295,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse drops an option value of "--": `--range=--` arrives as an empty list
+        if any(isinstance(value, list) for value in vars(args).values()):
+            raise _UsageError("an option value cannot be '--'")
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -8,8 +8,8 @@ table differs, and both reports carry the same config digest as proof.
 from __future__ import annotations
 
 import hashlib
-import math
 import statistics
+import sys
 from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
@@ -59,6 +59,32 @@ def _check_block(block, allowed, where: str) -> dict:
     if unknown:
         raise SchemaError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
     return block
+
+
+def _is_label(value) -> bool:
+    return isinstance(value, (str, int)) and not isinstance(value, bool)
+
+
+def _check_audit_values(audit: dict, where: str) -> None:
+    """Raise SchemaError unless the audit block's groups, bins, range and label maps are usable."""
+    groups = audit.get("groups")
+    if groups is not None and not (isinstance(groups, list) and len(groups) == 2
+                                   and all(map(_is_label, groups)) and groups[0] != groups[1]):
+        raise SchemaError(f"{where}.groups must be a list of two distinct strings or integers, "
+                          f"got {groups!r}")
+    bins = audit.get("bins", 20)
+    if not (type(bins) is int and bins >= 1):
+        raise SchemaError(f"{where}.bins must be an integer >= 1, got {bins!r}")
+    value_range = audit.get("range", [0.0, 1.0])
+    if not (isinstance(value_range, list) and len(value_range) == 2
+            and all(map(_is_finite_real, value_range))
+            and value_range[0] < value_range[1]):
+        raise SchemaError(f"{where}.range must be two finite numbers lo < hi, got {value_range!r}")
+    for key in ("group_labels", "stratum_labels"):
+        labels = audit.get(key, {})
+        if not (isinstance(labels, dict) and all(map(_is_label, labels.values()))):
+            raise SchemaError(f"{where}.{key} must be an object of string or integer labels, "
+                              f"got {labels!r}")
 
 
 def _apply_transform(table: DataTable, step: dict) -> DataTable:
@@ -132,6 +158,7 @@ class StudyConfig:
         audit = _check_block(data.get("audit", {}), AUDIT_KEYS, f"{path.name}: audit")
         if audit.get("on", "all") not in AUDIT_ON:
             raise SchemaError(f"{path.name}: audit.on {audit['on']!r} is not one of {AUDIT_ON}")
+        _check_audit_values(audit, f"{path.name}: audit")
         fit_debias_on = data.get("fit_debias_on", "full")
         if fit_debias_on not in FIT_DEBIAS_ON:
             raise SchemaError(
@@ -226,8 +253,13 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_finite_real(value) -> bool:
+    # an int past the float range is no finite float: float() of it overflows
+    return _is_real(value) and abs(value) <= sys.float_info.max
+
+
 def _is_finite_nonnegative_number(value) -> bool:
-    return _is_real(value) and 0 <= value < math.inf
+    return _is_finite_real(value) and value >= 0
 
 
 def _train_config(model: dict, seed: int) -> TrainConfig:
@@ -294,7 +326,7 @@ def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.Audi
         strata,
         group_pair=pair,
         performance=performance,
-        bins=int(audit_cfg.get("bins", 20)),
+        bins=audit_cfg.get("bins", 20),
         value_range=(float(lo), float(hi)),
         true_values=true_values,
         metadata={"seed": seed, "config_digest": cfg.digest(), "audit_on": audit_on},

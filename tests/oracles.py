@@ -6,8 +6,10 @@ logistic regression from IRLS, and ridge regression from plain gradient
 descent with an explicitly safe step size. The exceptions keep a loop in its
 plain form so that fairprep's vectorised path can be compared with it bit for
 bit: `reference_adam_step` updates one tensor at a time,
-`reference_debias_training` runs the adversarial training loop on top of
-fairprep's forward and backward passes and that per-tensor Adam,
+`reference_mlp_backward` takes each bias gradient with numpy's own
+`sum(axis=0)`, `reference_debias_training` runs the adversarial training
+loop on top of fairprep's forward pass, that backward pass and that
+per-tensor Adam, gathering each batch by fancy indexing,
 `reference_group_stats` and `reference_histogram` scan
 every row per audit cell, `reference_csv_text` writes through `csv.writer`,
 `reference_read_csv_columns` reads every file through `csv.reader`,
@@ -151,17 +153,39 @@ def reference_adam_step(net, param_grads, state, lr, beta1=0.9, beta2=0.999, eps
             params -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
 
 
+def reference_mlp_backward(net, cache, output_grad):
+    """(param_grads, input_grad) of fairprep's mlp_backward, every gradient computed.
+
+    Each bias gradient is numpy's `dz.sum(axis=0)`.
+    """
+    activations, pre = cache
+    out = activations[-1]
+    g = np.asarray(output_grad, dtype=float)
+    dz = g * out * (1.0 - out) if net.output_activation == "sigmoid" else g
+    grads = [None] * len(net.weights)
+    for l in range(len(net.weights) - 1, 0, -1):
+        grads[l] = (activations[l].T @ dz, dz.sum(axis=0))
+        da = dz @ net.weights[l].T
+        if net.hidden_activation == "tanh":
+            dz = (1.0 - np.square(activations[l])) * da
+        else:
+            dz = da * (pre[l - 1] > 0.0)
+    grads[0] = (activations[0].T @ dz, dz.sum(axis=0))
+    return grads, dz @ net.weights[0].T
+
+
 def reference_debias_training(table, cfg):
     """The debiaser's training loop without shortcuts; returns (encoder, decoder, adversary, trace).
 
     The encoder forward is recomputed on every adversary step, every step
-    takes the full summed loss and its gradient, every backward pass computes
-    the input gradient, and Adam updates one tensor at a time. Same
+    takes the full summed loss and its gradient, every backward pass is
+    `reference_mlp_backward` and computes the input gradient, every batch is
+    gathered by fancy indexing, and Adam updates one tensor at a time. Same
     initialisation, batch order and update order as
     `fairprep.debias.train_debiaser`.
     """
     from fairprep import debias
-    from fairprep.mlcore import derive_rng, mlp_backward, mlp_forward, mlp_init
+    from fairprep.mlcore import derive_rng, mlp_forward, mlp_init
     from fairprep.tabular import encode
 
     names = [s.name for s in table.specs_with_role("protected")]
@@ -196,17 +220,17 @@ def reference_debias_training(table, cfg):
                 _, z = mlp_forward(encoder, Xb)
                 cache_a, logits = mlp_forward(adversary, z)
                 _, g_adv = debias._summed_loss(logits, Yb, adv_blocks)
-                grads_a, _ = mlp_backward(adversary, cache_a, g_adv)
+                grads_a, _ = reference_mlp_backward(adversary, cache_a, g_adv)
                 reference_adam_step(adversary, grads_a, st_adv, lr)
 
             cache_e, z = mlp_forward(encoder, Xb)
             cache_d, recon = mlp_forward(decoder, z)
             loss_r, g_r = debias._summed_loss(recon, Xb, recon_blocks)
-            grads_d, dz_recon = mlp_backward(decoder, cache_d, g_r)
+            grads_d, dz_recon = reference_mlp_backward(decoder, cache_d, g_r)
             cache_a, logits = mlp_forward(adversary, z)
             loss_a, g_adv = debias._summed_loss(logits, Yb, adv_blocks)
-            _, dz_adv = mlp_backward(adversary, cache_a, g_adv)
-            grads_e, _ = mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
+            _, dz_adv = reference_mlp_backward(adversary, cache_a, g_adv)
+            grads_e, _ = reference_mlp_backward(encoder, cache_e, dz_recon - lam * dz_adv)
             reference_adam_step(decoder, grads_d, st_dec, lr)
             reference_adam_step(encoder, grads_e, st_enc, lr)
 

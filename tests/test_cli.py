@@ -8,7 +8,7 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import fairprep.cli as cli
@@ -424,6 +424,8 @@ def _audit_options(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(options=_audit_options())
+@example(options=["--range=--"])
+@example(options=["--bins=--"])
 def test_property_audit_bins_and_range_exit_zero_one_or_two_with_one_line(
     options, audit_csv, capsys
 ):
@@ -513,6 +515,7 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c["model"].update(l2=math.nan), "l2"),
     ("heart", lambda c: c["model"].update(l2=math.inf), "l2"),
     ("passnyc", lambda c: c["model"].update(kind="ridge", ridge_lambda=math.inf), "ridge_lambda"),
+    ("passnyc", lambda c: c["model"].update(kind="ridge", ridge_lambda=10**400), "ridge_lambda"),
     ("heart", lambda c: c["debias"].update(adversary_weight=math.nan), "adversary_weight"),
     ("heart", lambda c: c["debias"].update(adversary_weight=math.inf), "adversary_weight"),
     ("heart", lambda c: c["debias"].update(learning_rate=math.nan), "learning_rate"),
@@ -525,14 +528,37 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c.update(seeds=[-1]), "seeds"),
     ("heart", lambda c: c.update(test_fraction="x"), "test_fraction"),
     ("heart", lambda c: c.update(test_fraction=1.5), "test_fraction"),
+    ("heart", lambda c: c["audit"].update(groups=["female", "female"]), "groups"),
+    ("heart", lambda c: c["audit"].update(groups="ab"), "groups"),
+    ("heart", lambda c: c["audit"].update(groups=["female"]), "groups"),
+    ("heart", lambda c: c["audit"].update(groups=["female", 1.5]), "groups"),
+    ("heart", lambda c: c["audit"].update(groups=["female", True]), "groups"),
+    ("heart", lambda c: c["audit"].update(bins=2.5), "bins"),
+    ("heart", lambda c: c["audit"].update(bins="x"), "bins"),
+    ("heart", lambda c: c["audit"].update(bins=0), "bins"),
+    ("heart", lambda c: c["audit"].update(bins=True), "bins"),
+    ("heart", lambda c: c["audit"].update(range=[0, "x"]), "range"),
+    ("heart", lambda c: c["audit"].update(range=[0, 1, 2]), "range"),
+    ("heart", lambda c: c["audit"].update(range=[1, 0]), "range"),
+    ("heart", lambda c: c["audit"].update(range=[0, math.inf]), "range"),
+    ("heart", lambda c: c["audit"].update(range=[0, 10**400]), "range"),
+    ("heart", lambda c: c["audit"].update(range="0,1"), "range"),
+    ("heart", lambda c: c["audit"].update(group_labels=["a"]), "group_labels"),
+    ("heart", lambda c: c["audit"].update(stratum_labels="x"), "stratum_labels"),
+    ("heart", lambda c: c["audit"].update(stratum_labels={"0": ["x"]}), "stratum_labels"),
 ], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
         "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
         "model-learning-rate", "model-ridge-negative", "model-ridge-type",
         "model-learning-rate-nan", "model-learning-rate-inf", "model-l2-nan", "model-l2-inf",
-        "model-ridge-inf", "debias-lambda-nan", "debias-lambda-inf",
+        "model-ridge-inf", "model-ridge-huge-int", "debias-lambda-nan", "debias-lambda-inf",
         "debias-learning-rate-nan", "debias-learning-rate-inf", "seeds-empty", "seeds-string",
         "seeds-float", "seeds-bool", "seeds-repeated", "seeds-negative", "test-fraction-string",
-        "test-fraction-range"])
+        "test-fraction-range", "audit-groups-repeated", "audit-groups-string",
+        "audit-groups-one", "audit-groups-float", "audit-groups-bool", "audit-bins-float",
+        "audit-bins-string", "audit-bins-zero", "audit-bins-bool", "audit-range-string",
+        "audit-range-three", "audit-range-reversed", "audit-range-inf", "audit-range-huge-int",
+        "audit-range-text", "audit-group-labels-list", "audit-stratum-labels-string",
+        "audit-stratum-labels-value"])
 def test_run_study_config_typo_exits_two(tmp_path, capsys, study, edit, named):
     bad = _edited_study(tmp_path, study, edit)
     assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2

@@ -4,6 +4,8 @@ import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 
@@ -340,7 +342,10 @@ def three_category_table(n=230):
     (lambda: copy_dataset(n=120), DebiasConfig(epochs=25, seed=1)),
     (three_category_table, DebiasConfig(epochs=6, batch_size=64, adversary_steps=2, seed=2)),
     (multi_protected_table, DebiasConfig(adversary_weight=2.0, epochs=15, seed=0)),
-], ids=["full-batch-binary", "mini-batch-3-category", "two-protected"])
+    # width-1 layers: the latent code and the adversary's hidden layer are one column each
+    (lambda: copy_dataset(n=150), DebiasConfig(latent_dim=1, adversary_hidden=1, epochs=20,
+                                               batch_size=64, seed=3)),
+], ids=["full-batch-binary", "mini-batch-3-category", "two-protected", "mini-batch-width-1"])
 def test_training_matches_the_plain_reference_loop_bit_for_bit(make_table, cfg):
     table = make_table()
     model, trace = train_debiaser(table, cfg)
@@ -351,6 +356,21 @@ def test_training_matches_the_plain_reference_loop_bit_for_bit(make_table, cfg):
     assert trace.reconstruction_loss == ref_trace.reconstruction_loss
     assert trace.adversary_loss == ref_trace.adversary_loss
     assert trace.combined_loss == ref_trace.combined_loss
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 300), d=st.integers(1, 12), batch=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+def test_property_take_gathers_the_rows_fancy_indexing_gathers(n, d, batch, seed):
+    rng = derive_rng(seed, "take")
+    X = rng.standard_normal((n, d))
+    X[rng.random(X.shape) < 0.2] = -0.0
+    X[rng.random(X.shape) < 0.05] = math.nan
+    order = rng.permutation(n)
+    for idx in (order[i : i + batch] for i in range(0, n, batch)):
+        got, want = np.take(X, idx, axis=0), X[idx]
+        assert got.flags.c_contiguous and want.flags.c_contiguous
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_minibatch_divergence_ends_the_epoch():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairprep.mlcore import (
@@ -27,6 +27,7 @@ from fairprep.mlcore import (
     sigmoid,
     softmax_cross_entropy,
     squared_error,
+    _col_sum,
     _row_max,
     _row_sum,
 )
@@ -160,6 +161,39 @@ def test_property_row_reductions_and_softmax_gradient_are_bit_exact(
     assert np.array_equal(bits(_row_sum(z)), bits(z.sum(axis=1, keepdims=True)))
     _, grad = softmax_cross_entropy(z, onehot)
     assert np.array_equal(bits((oracles.softmax(z) - onehot) / n), bits(grad))
+
+
+# signed zeros, subnormals, the smallest normal, infinities, NaNs and magnitudes near the top
+COL_SUM_EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308,
+                 math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300, 1.0, -1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 40),
+    n=st.integers(1, 5000),
+    layout=st.sampled_from(["C", "F", "row-strided", "column-sliced"]),
+    log_scale=st.floats(-300, 300),
+    edge_share=st.sampled_from([0.0, 0.01, 0.3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+# numpy sums one column, or an F-ordered array, pairwise: einsum's running sum gives other bits
+@example(k=1, n=4096, layout="C", log_scale=0.0, edge_share=0.0, seed=0)
+@example(k=16, n=4096, layout="F", log_scale=0.0, edge_share=0.0, seed=0)
+# NaNs of both signs: einsum and numpy keep different ones
+@example(k=8, n=13, layout="C", log_scale=0.0, edge_share=0.3, seed=0)
+def test_property_col_sum_matches_numpy_sum_bit_for_bit(k, n, layout, log_scale, edge_share, seed):
+    rng = derive_rng(seed, "col-sum")
+    x = rng.standard_normal((n, k)) * 10.0**log_scale
+    edges = rng.random(x.shape) < edge_share
+    x[edges] = rng.choice(COL_SUM_EDGES, size=int(edges.sum()))
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "row-strided":
+        x = np.repeat(x, 2, axis=0)[::2]
+    elif layout == "column-sliced":
+        x = np.hstack([x, x])[:, 1 : k + 1]
+    assert np.array_equal(_col_sum(x).view(np.int64), x.sum(axis=0).view(np.int64))
 
 
 def test_sigmoid_extreme_inputs_stay_in_bounds():
