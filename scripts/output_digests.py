@@ -15,6 +15,9 @@ The runs use the checkout this script sits in:
   latent code and adversary hidden layer: the model, the trace CSV, and the
   input rewritten by `transform` and written with `write_csv`;
 - `fairprep audit --report` on a generated 400-row estimates file;
+- `write_csv` of a generated 25 000-row table, above the row count from which
+  a forked child writes the back half, with missing cells (one on the middle
+  row) and labels that need quoting;
 - `scripts/make_bundled_data.py`, run in a copy of the checkout: every file
   it writes under `data/`.
 
@@ -37,6 +40,8 @@ import warnings
 from contextlib import redirect_stdout
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
@@ -52,7 +57,7 @@ from fairprep.debias import (  # noqa: E402
 from fairprep.ioutil import write_json  # noqa: E402
 from fairprep.studies import StudyConfig, run_study  # noqa: E402
 from fairprep.synth import SyntheticSpec, synth_check  # noqa: E402
-from fairprep.tabular import ColumnSpec, drop_columns, load_csv, write_csv  # noqa: E402
+from fairprep.tabular import ColumnSpec, DataTable, drop_columns, load_csv, write_csv  # noqa: E402
 
 STUDY_NAMES = ["compas", "absenteeism", "heart", "passnyc", "communities"]
 CLI_SCHEMA = [
@@ -81,6 +86,24 @@ def _write_cli_inputs(work: Path) -> None:
     for i in range(400):
         rows.append(f"{((i * 29) % 100 + 0.5) / 101:.6f},{'ab'[i % 2]},s{(i // 5) % 2}")
     (work / "estimates.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
+def _large_table(n: int = 25_000) -> DataTable:
+    """A table of fixed arithmetic (no RNG): full-precision floats, missing
+    cells, one of them on the middle row, and labels that need quoting."""
+    i = np.arange(n)
+    schema = [
+        ColumnSpec("ratio", "numeric"),
+        ColumnSpec("root", "numeric"),
+        ColumnSpec("label", "categorical", categories=("plain", "with, comma", 'say "hi"')),
+        ColumnSpec("flag", "binary"),
+    ]
+    return DataTable.from_arrays(schema, {
+        "ratio": np.where((i % 101 == 0) | (i == n // 2), np.nan, i / 7 - 1000.0),
+        "root": np.sqrt(i) * 1e-3 - 1e5 * (i % 2),
+        "label": np.where(i % 13 == 0, -1, i % 3),
+        "flag": np.where(i % 17 == 0, -1, i // 5 % 2),
+    })
 
 
 def run_all(out: Path) -> None:
@@ -112,6 +135,7 @@ def run_all(out: Path) -> None:
     save_debias_model(narrow, cli / "narrow_model.json")
     write_trace_csv(trace, cli / "narrow_trace.csv")
     write_csv(transform(narrow, people), cli / "narrow_debiased.csv")
+    write_csv(_large_table(), out / "large_table.csv")
 
     copy = out / "checkout"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))

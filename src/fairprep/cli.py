@@ -306,7 +306,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except (SchemaError, DataError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    # OSError: a missing input, or an output that cannot be written (the writers name its path)
+    except (SchemaError, DataError, OSError, json.JSONDecodeError, KeyError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
     except (TrainingDivergedError, SingularSystemError, np.linalg.LinAlgError) as exc:

@@ -23,6 +23,7 @@ characteristic can no longer be recovered from it.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
@@ -80,13 +81,14 @@ class DebiasConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.latent_dim is not None and self.latent_dim < 1:
             raise ValueError("latent_dim must be >= 1")
-        if not 0 <= self.adversary_weight < math.inf:
+        # `<= float_info.max`, not `< inf`: an int past the float range overflows in training
+        if not 0 <= self.adversary_weight <= sys.float_info.max:
             raise ValueError(
                 f"adversary_weight must be finite and nonnegative, got {self.adversary_weight!r}"
             )
         if self.epochs < 1 or self.adversary_steps < 1:
             raise ValueError("epochs and adversary_steps must be >= 1")
-        if not 0 < self.learning_rate < math.inf:
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")

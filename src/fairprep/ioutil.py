@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -44,19 +45,59 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+def _temp_beside(path: Path) -> tuple:
+    """A new empty temp file in `path`'s directory, as (fd, name); a rename from it is atomic."""
+    return tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+
+
+def _about(path: Path, exc: OSError) -> OSError:
+    """`exc` retold about `path`: a failed write names a temp file its caller never asked for."""
+    if exc.errno is None:
+        return OSError(f"{path}: {exc}")
+    return OSError(exc.errno, exc.strerror, os.fspath(path))  # an errno keeps its subclass
+
+
+@contextmanager
+def atomic_output(path):
+    """A binary file whose bytes replace `path` when the block ends without error.
+
+    The file is a temp file beside `path`, removed on any error. An OSError
+    raised in the block, or while creating or renaming the file, is raised
+    again with `path` as its file name.
+    """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = None
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = _temp_beside(path)
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
-    except BaseException:
+        tmp = None
+    except OSError as exc:
+        raise _about(path, exc) from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+@contextmanager
+def temp_path_beside(path):
+    """The name of a new empty temp file beside `path`, removed when the block ends."""
+    path = Path(path)
+    fd, tmp = _temp_beside(path)
+    os.close(fd)
+    try:
+        yield tmp
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write `text` as UTF-8 through `atomic_output`."""
+    with atomic_output(path) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def write_json(path, obj) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
 from dataclasses import dataclass, field
 from numbers import Integral
 
@@ -323,11 +324,12 @@ class TrainConfig:
     def __post_init__(self):
         if not isinstance(self.epochs, Integral):
             raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        if not 0 < self.learning_rate < math.inf:
+        # `<= float_info.max`, not `< inf`: an int past the float range overflows in training
+        if not 0 < self.learning_rate <= sys.float_info.max:
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if not 0 <= self.l2 < math.inf:
+        if not 0 <= self.l2 <= sys.float_info.max:
             raise ValueError(f"l2 must be finite and nonnegative, got {self.l2!r}")
 
 
@@ -398,7 +400,7 @@ def fit_linear(X, y, ridge_lambda: float = 0.0) -> LinearModel:
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
-    if not 0 <= ridge_lambda < math.inf:
+    if not 0 <= ridge_lambda <= sys.float_info.max:
         raise ValueError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda!r}")
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())

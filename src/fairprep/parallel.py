@@ -6,7 +6,8 @@ process, so a caller writes its schedule once and gets the same results
 either way. `worker_count` gives the usable CPUs, which is 1 off Linux. Each
 worker computes with one BLAS thread, and the warnings a call raises in a
 worker are re-emitted through this process's filters when its result is
-taken.
+taken. `forked` runs one call in one forked child, with no pool, for a caller
+that does the other share of the work itself.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from itertools import repeat
 
 
@@ -150,3 +152,53 @@ class Pool:
         for value, caught in self._executor.map(_call_in_worker, repeat(fn), *iterables):
             _rewarn(caught)
             yield value
+
+
+def _call_and_report(conn, fn, args) -> None:
+    """`forked`'s child: make the call, then send its error, or None, and its warnings."""
+    try:
+        _, caught = _call_in_worker(fn, *args)
+        outcome = None, caught
+    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+        outcome = exc, []
+    conn.send(outcome)
+
+
+@contextmanager
+def forked(fn, *args):
+    """Run `fn(*args)` in one forked child while the block runs; its value is dropped.
+
+    The child starts from this process's memory, so `args` are not pickled.
+    A fork copies only the calling thread, so `fn` must not need a lock that
+    another thread may hold, such as a BLAS thread pool's. When the block ends, this waits for the child, re-emits its warnings and
+    raises its error. If the block raises, the child is killed first. A
+    process with no executor and no helper thread: a `Pool` holds its executor
+    threads' memory after it shuts down.
+    """
+    from multiprocessing import get_context
+
+    ctx = get_context("fork")
+    receiver, sender = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_call_and_report, args=(sender, fn, args))
+    try:
+        child.start()
+        sender.close()
+        try:
+            yield
+            try:
+                error, caught = receiver.recv()
+            except EOFError:  # the child died before it could report
+                child.join()
+                raise ChildProcessError(f"forked child exited with code {child.exitcode}") from None
+        except BaseException:
+            child.kill()
+            raise
+        finally:
+            child.join()
+            child.close()
+    finally:
+        sender.close()
+        receiver.close()
+    _rewarn(caught)
+    if error is not None:
+        raise error

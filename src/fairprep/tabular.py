@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import shutil
 from dataclasses import dataclass
 from itertools import islice, repeat
 from operator import itemgetter
@@ -342,8 +343,36 @@ def _field(text: str) -> str:
 
 def _cell_texts(spec: ColumnSpec, arr) -> list:
     if spec.kind == "numeric":  # NaN, the only non-finite value stored, marks a missing cell
-        return ["" if text == "nan" else text for text in map(repr, arr.tolist())]
+        texts = list(map(repr, arr.tolist()))
+        if np.isnan(arr).any():
+            return ["" if text == "nan" else text for text in texts]
+        return texts
     return np.array([_field(str(c)) for c in spec.categories] + [""], dtype=object)[arr].tolist()
+
+
+#: rows formatted and written at a time, so no text of the whole table is built at once
+CSV_CHUNK_ROWS = 8192
+
+#: rows from which a forked child writes the back half of a CSV file. On a
+#: 2-CPU box with a 300 MB caller, an 11-column table broke even at about
+#: 4000 rows; at 10 000 rows the forked write took 0.056 s against 0.080 s
+MIN_ROWS_FOR_A_WRITER = 10_000
+
+
+def _write_rows(table: DataTable, fh, start: int, stop: int) -> None:
+    """Write rows [start, stop) of `table` to the binary file `fh`, CSV_CHUNK_ROWS at a time."""
+    columns = [(s, table.array(s.name)) for s in table.schema]
+    for lo in range(start, stop, CSV_CHUNK_ROWS):
+        texts = [_cell_texts(s, arr[lo:min(lo + CSV_CHUNK_ROWS, stop)]) for s, arr in columns]
+        if len(texts) == 1:
+            texts = [[text or '""' for text in texts[0]]]
+        fh.write(("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8"))
+
+
+def _write_rows_to(table: DataTable, path, start: int, stop: int) -> None:
+    """The forked writer's share: rows [start, stop) into a file of their own."""
+    with open(path, "wb") as fh:
+        _write_rows(table, fh, start, stop)
 
 
 def write_csv(table: DataTable, path) -> None:
@@ -352,13 +381,33 @@ def write_csv(table: DataTable, path) -> None:
     Missing cells become empty fields, written `""` in a one-column table so
     that no line is blank. Header names and category labels are quoted as
     `_field` says; a number never needs quoting.
-    """
-    from .ioutil import atomic_write_text
 
-    columns = [[_field(s.name), *_cell_texts(s, table.array(s.name))] for s in table.schema]
-    if len(columns) == 1:
-        columns = [[text or '""' for text in columns[0]]]
-    atomic_write_text(path, "\n".join(map(",".join, zip(*columns))) + "\n")
+    Rows are formatted and written CSV_CHUNK_ROWS at a time. With at least
+    MIN_ROWS_FOR_A_WRITER rows and two usable CPUs, a forked child writes the
+    back half of the rows into a temp file beside `path` while this process
+    writes the front half, and then that file is appended. Both ways give the
+    same bytes. An OSError, here or in the child, names `path`.
+    """
+    from . import parallel
+    from .ioutil import atomic_output, temp_path_beside
+
+    header = [_field(s.name) for s in table.schema]
+    if len(header) == 1:
+        header = [header[0] or '""']
+    head = (",".join(header) + "\n").encode("utf-8")
+    n = table.n_rows
+    with atomic_output(path) as fh:
+        if n < MIN_ROWS_FOR_A_WRITER or parallel.worker_count(2) < 2:
+            fh.write(head)
+            _write_rows(table, fh, 0, n)
+            return
+        with temp_path_beside(path) as back:
+            # the child forks before anything is written, so it holds no buffered bytes of `fh`
+            with parallel.forked(_write_rows_to, table, back, n // 2, n):
+                fh.write(head)
+                _write_rows(table, fh, 0, n // 2)
+            with open(back, "rb") as part:
+                shutil.copyfileobj(part, fh)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,33 @@ def test_debias_lambda_zero_stays_close(tmp_path, small_csv):
     assert errs[len(errs) // 2] <= 0.1  # median abs error, raw units are ~standardized here
 
 
+def _only_a_data_error_naming(capsys, path) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1
+    assert str(path) in err and ".tmp" not in err
+
+
+@pytest.mark.parametrize("flag", ["--output", "--model-out", "--report", "--trace-csv"])
+def test_debias_output_that_is_a_directory_exits_two_with_one_line(tmp_path, capsys, small_csv, flag):
+    csv_path, schema_path = small_csv
+    outputs = {f: tmp_path / f"out{f}" for f in ("--output", "--model-out", "--report", "--trace-csv")}
+    outputs[flag].mkdir()
+    argv = ["debias", "--input", csv_path, "--schema", schema_path, "--protected", "grp", "--epochs", 2]
+    assert _run(argv + [a for f, path in outputs.items() for a in (f, path)]) == 2
+    _only_a_data_error_naming(capsys, outputs[flag])
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    assert list(outputs[flag].iterdir()) == []
+
+
+def test_audit_report_that_is_a_directory_exits_two_with_one_line(tmp_path, capsys):
+    est = tmp_path / "est.csv"
+    est.write_text("estimate,g\n0.2,a\n0.4,a\n0.5,b\n0.9,b\n")
+    (tmp_path / "report.json").mkdir()
+    assert _run(["audit", "--estimates", est, "--groups", "g", "--report", tmp_path / "report.json"]) == 2
+    _only_a_data_error_naming(capsys, tmp_path / "report.json")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["est.csv", "report.json"]
+
+
 def test_audit_command_reference_fixture(tmp_path, capsys):
     est = tmp_path / "est.csv"
     est.write_text(
@@ -520,6 +547,10 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c["debias"].update(adversary_weight=math.inf), "adversary_weight"),
     ("heart", lambda c: c["debias"].update(learning_rate=math.nan), "learning_rate"),
     ("heart", lambda c: c["debias"].update(learning_rate=math.inf), "learning_rate"),
+    ("heart", lambda c: c["model"].update(learning_rate=10**400), "learning_rate"),
+    ("heart", lambda c: c["model"].update(l2=10**400), "l2"),
+    ("heart", lambda c: c["debias"].update(adversary_weight=10**400), "adversary_weight"),
+    ("heart", lambda c: c["debias"].update(learning_rate=10**400), "learning_rate"),
     ("heart", lambda c: c.update(seeds=[]), "seeds"),
     ("heart", lambda c: c.update(seeds="ab"), "seeds"),
     ("heart", lambda c: c.update(seeds=[1.5]), "seeds"),
@@ -551,7 +582,8 @@ def _edited_study(tmp_path, study, edit):
         "model-learning-rate", "model-ridge-negative", "model-ridge-type",
         "model-learning-rate-nan", "model-learning-rate-inf", "model-l2-nan", "model-l2-inf",
         "model-ridge-inf", "model-ridge-huge-int", "debias-lambda-nan", "debias-lambda-inf",
-        "debias-learning-rate-nan", "debias-learning-rate-inf", "seeds-empty", "seeds-string",
+        "debias-learning-rate-nan", "debias-learning-rate-inf", "model-learning-rate-huge-int",
+        "model-l2-huge-int", "debias-lambda-huge-int", "debias-learning-rate-huge-int", "seeds-empty", "seeds-string",
         "seeds-float", "seeds-bool", "seeds-repeated", "seeds-negative", "test-fraction-string",
         "test-fraction-range", "audit-groups-repeated", "audit-groups-string",
         "audit-groups-one", "audit-groups-float", "audit-groups-bool", "audit-bins-float",
@@ -566,6 +598,14 @@ def test_run_study_config_typo_exits_two(tmp_path, capsys, study, edit, named):
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_study_out_that_is_a_file_exits_two_with_one_line(tmp_path, capsys):
+    short = _edited_study(tmp_path, "heart", lambda c: c["debias"].update(epochs=2))
+    (tmp_path / "out").write_text("a file")
+    assert _run(["run-study", "--config", short, "--seeds", 1, "--out", tmp_path / "out", "--offline"]) == 2
+    _only_a_data_error_naming(capsys, tmp_path / "out")
+    assert (tmp_path / "out").read_text() == "a file"
 
 
 def test_run_study_minibatch_divergence_exits_three(tmp_path, capsys):

@@ -51,6 +51,9 @@ FULL_CAPACITY = dict(latent_dim=4, encoder_hidden=16, adversary_hidden=16)
 @pytest.mark.parametrize("field, value", [
     ("adversary_weight", math.nan), ("adversary_weight", math.inf), ("adversary_weight", -1.0),
     ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
+    # an int past the float range: below inf, but training's float arithmetic overflows on it
+    pytest.param("adversary_weight", 10**400, id="adversary_weight-huge-int"),
+    pytest.param("learning_rate", 10**400, id="learning_rate-huge-int"),
 ])
 def test_config_rejects_non_finite_and_out_of_range_rates(field, value):
     with pytest.raises(ValueError, match=field):

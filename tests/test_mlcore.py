@@ -478,6 +478,9 @@ def test_logistic_deterministic():
 @pytest.mark.parametrize("field, value", [
     ("learning_rate", math.nan), ("learning_rate", math.inf), ("learning_rate", 0.0),
     ("l2", math.nan), ("l2", math.inf), ("l2", -1e-4),
+    # an int past the float range: below inf, but training's float arithmetic overflows on it
+    pytest.param("learning_rate", 10**400, id="learning_rate-huge-int"),
+    pytest.param("l2", 10**400, id="l2-huge-int"),
 ])
 def test_train_config_rejects_non_finite_and_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -515,7 +518,7 @@ def test_ridge_matches_gradient_descent_oracle():
     assert dist <= 1e-6
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, pytest.param(10**400, id="huge-int")])
 def test_linear_rejects_a_non_finite_or_negative_ridge_lambda(lam):
     with pytest.raises(ValueError, match="ridge_lambda"):
         fit_linear(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]), lam)

@@ -1,7 +1,11 @@
 import csv
+import errno
 import math
+import multiprocessing
+import os
 import pickle
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairprep.tabular as tabular
+from fairprep import parallel
 from fairprep.tabular import (
     KINDS,
     ColumnSpec,
@@ -224,6 +229,149 @@ def test_property_write_csv_matches_csv_writer(table):
         text = path.read_bytes().decode("utf-8")
     rows = zip(*(table.column(name) for name in table.column_names))
     assert text == oracles.reference_csv_text(table.column_names, rows)
+
+
+def _reference_text(table) -> str:
+    rows = zip(*(table.column(name) for name in table.column_names))
+    return oracles.reference_csv_text(table.column_names, rows)
+
+
+def _small_writer(mp, chunk_rows: int, min_rows: int) -> list:
+    """Make `write_csv` cut `chunk_rows`-row chunks and fork a writer from
+    `min_rows` rows, as on two usable CPUs. Returns the list that records each
+    fork made in this process."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    mp.setattr(tabular, "CSV_CHUNK_ROWS", chunk_rows)
+    mp.setattr(tabular, "MIN_ROWS_FOR_A_WRITER", min_rows)
+    mp.setattr(parallel, "worker_count", lambda n_tasks: min(2, n_tasks))
+    mp.setattr(os, "fork", counted_fork)
+    return forks
+
+
+@settings(max_examples=100, deadline=None)  # each forked example starts a process
+@given(_quoting_tables(), st.integers(1, 3), st.integers(0, 4))
+def test_property_write_csv_in_chunks_and_halves_matches_csv_writer(table, chunk_rows, min_rows):
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
+        forks = _small_writer(mp, chunk_rows, min_rows)
+        path = Path(tmp) / "t.csv"
+        write_csv(table, path)
+        text = path.read_bytes().decode("utf-8")
+        assert os.listdir(tmp) == ["t.csv"]
+    assert len(forks) == (table.n_rows >= min_rows)
+    assert text == _reference_text(table)
+
+
+def _numbers(n: int, missing=()) -> list:
+    return [None if i in missing else i / 7 - 3 for i in range(n)]
+
+
+@pytest.mark.parametrize("schema, columns", [
+    pytest.param([ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", categories=("a", "b"))],
+                 {"x": [], "c": []}, id="no-rows"),
+    pytest.param([ColumnSpec("x", "numeric")], {"x": _numbers(11, {0, 3, 4, 5, 10})},
+                 id="one-numeric-column-with-missing-cells"),
+    pytest.param([ColumnSpec("", "categorical", categories=("", "b"))],
+                 {"": ["", None, "b", None, "", "b", None, None, "b"]},
+                 id="one-categorical-column-with-missing-cells-and-an-empty-label"),
+    pytest.param([ColumnSpec("x", "numeric"), ColumnSpec("f", "binary")],
+                 {"x": _numbers(12, {3}), "f": [i % 3 % 2 if i % 5 else None for i in range(12)]},
+                 id="rows-an-exact-multiple-of-the-chunk"),
+    pytest.param([ColumnSpec("x", "numeric"), ColumnSpec("y", "numeric")],
+                 {"x": _numbers(10, {5}), "y": _numbers(10, {4, 5})}, id="nan-on-the-split-row"),
+])
+def test_write_csv_forked_edge_cases_match_csv_writer(tmp_path, monkeypatch, schema, columns):
+    forks = _small_writer(monkeypatch, 4, 0)
+    table = DataTable(schema, columns)
+    write_csv(table, tmp_path / "t.csv")
+    assert len(forks) == 1
+    assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
+    assert os.listdir(tmp_path) == ["t.csv"]
+
+
+def _wide_table(n: int) -> DataTable:
+    schema = [ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", categories=("p", "q, r"))]
+    return DataTable.from_arrays(schema, {"x": np.where(np.arange(n) % 97 == 0, np.nan, np.arange(n) / 3),
+                                          "c": np.arange(n) % 3 - 1})
+
+
+def test_a_table_below_the_threshold_forks_no_writer(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("forked a writer for a small table")
+
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: min(2, n_tasks))
+    monkeypatch.setattr(os, "fork", refuse)
+    table = _wide_table(tabular.MIN_ROWS_FOR_A_WRITER - 1)
+    write_csv(table, tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
+
+
+def test_a_table_at_the_threshold_forks_one_writer(tmp_path, monkeypatch):
+    forks = _small_writer(monkeypatch, tabular.CSV_CHUNK_ROWS, tabular.MIN_ROWS_FOR_A_WRITER)
+    table = _wide_table(tabular.MIN_ROWS_FOR_A_WRITER)
+    write_csv(table, tmp_path / "t.csv")
+    assert len(forks) == 1
+    assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
+
+
+def _fail_in(monkeypatch, where: str, error: Exception) -> None:
+    """Make `_cell_texts` raise `error` in the writer child, or in the caller."""
+    caller, cell_texts = os.getpid(), tabular._cell_texts
+
+    def failing(spec, arr):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise error
+        return cell_texts(spec, arr)
+
+    monkeypatch.setattr(tabular, "_cell_texts", failing)
+
+
+@pytest.mark.parametrize("where, error", [
+    ("child", DataError("cell formatting failed")),
+    ("child", OSError(errno.ENOSPC, "No space left on device")),
+    ("caller", DataError("cell formatting failed")),
+])
+def test_a_failed_forked_write_raises_and_leaves_the_old_file_alone(tmp_path, monkeypatch, where, error):
+    _small_writer(monkeypatch, 4, 0)
+    _fail_in(monkeypatch, where, error)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"old")
+    with pytest.raises(type(error)) as raised:
+        write_csv(_wide_table(20), path)
+    if isinstance(error, OSError):  # retold about the output, not the child's temp file
+        assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(path))
+    else:
+        assert str(raised.value) == "cell formatting failed"
+    assert os.listdir(tmp_path) == ["t.csv"] and path.read_bytes() == b"old"
+    assert multiprocessing.active_children() == []
+
+
+def test_a_warning_in_the_writer_child_reaches_the_caller(tmp_path, monkeypatch):
+    _small_writer(monkeypatch, 100, 0)
+    caller, cell_texts = os.getpid(), tabular._cell_texts
+
+    def warns_in_the_child(spec, arr):
+        if os.getpid() != caller:
+            warnings.warn("formatted in the child", UserWarning)
+        return cell_texts(spec, arr)
+
+    monkeypatch.setattr(tabular, "_cell_texts", warns_in_the_child)
+    with pytest.warns(UserWarning, match="formatted in the child"):
+        write_csv(_wide_table(20), tmp_path / "t.csv")
+
+
+def test_write_csv_to_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    (tmp_path / "out.csv").mkdir()
+    for min_rows in (10**9, 0):  # in process, then with a forked writer
+        _small_writer(monkeypatch, 4, min_rows)
+        with pytest.raises(IsADirectoryError) as raised:
+            write_csv(_wide_table(20), tmp_path / "out.csv")
+        assert raised.value.filename == str(tmp_path / "out.csv")
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_write_csv_one_column_writes_a_missing_cell_as_quotes(tmp_path):
