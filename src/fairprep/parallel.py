@@ -170,10 +170,11 @@ def forked(fn, *args):
 
     The child starts from this process's memory, so `args` are not pickled.
     A fork copies only the calling thread, so `fn` must not need a lock that
-    another thread may hold, such as a BLAS thread pool's. When the block ends, this waits for the child, re-emits its warnings and
-    raises its error. If the block raises, the child is killed first. A
-    process with no executor and no helper thread: a `Pool` holds its executor
-    threads' memory after it shuts down.
+    another thread may hold, such as a BLAS thread pool's. When the block
+    ends, this waits for the child, re-emits its warnings and raises its
+    error. If the block raises, the child is killed first. A process with no
+    executor and no helper thread: a `Pool` holds its executor threads'
+    memory after it shuts down.
     """
     from multiprocessing import get_context
 

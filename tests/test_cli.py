@@ -583,8 +583,8 @@ def _edited_study(tmp_path, study, edit):
         "model-learning-rate-nan", "model-learning-rate-inf", "model-l2-nan", "model-l2-inf",
         "model-ridge-inf", "model-ridge-huge-int", "debias-lambda-nan", "debias-lambda-inf",
         "debias-learning-rate-nan", "debias-learning-rate-inf", "model-learning-rate-huge-int",
-        "model-l2-huge-int", "debias-lambda-huge-int", "debias-learning-rate-huge-int", "seeds-empty", "seeds-string",
-        "seeds-float", "seeds-bool", "seeds-repeated", "seeds-negative", "test-fraction-string",
+        "model-l2-huge-int", "debias-lambda-huge-int", "debias-learning-rate-huge-int",
+        "seeds-empty", "seeds-string", "seeds-float", "seeds-bool", "seeds-repeated", "seeds-negative", "test-fraction-string",
         "test-fraction-range", "audit-groups-repeated", "audit-groups-string",
         "audit-groups-one", "audit-groups-float", "audit-groups-bool", "audit-bins-float",
         "audit-bins-string", "audit-bins-zero", "audit-bins-bool", "audit-range-string",
