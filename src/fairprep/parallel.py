@@ -1,13 +1,15 @@
-"""Forked worker processes for seeded work whose results do not depend on
+"""Forked child processes for seeded work whose results do not depend on
 where it runs.
 
-`Pool(processes)` forks that many workers, or with 0 runs every call in this
-process, so a caller writes its schedule once and gets the same results
-either way. `worker_count` gives the usable CPUs, which is 1 off Linux. Each
-worker computes with one BLAS thread, and the warnings a call raises in a
-worker are re-emitted through this process's filters when its result is
-taken. `forked` runs one call in one forked child, with no pool, for a caller
-that does the other share of the work itself.
+A child starts from this process's memory, so its arguments reach it through
+the fork and are never pickled; only its outcome comes back, through a pipe.
+In the child, OpenBLAS computes with one thread and the calls are made in
+order up to the first error. The warnings each call raises come back with
+its value and are re-emitted through this process's filters. `forked` runs
+one call in a child beside the caller's block; `map` deals calls out over
+several children, or makes them in this process with one, so a caller writes
+its schedule once and gets the same results either way. `worker_count` gives
+the usable CPUs, which is 1 off Linux.
 """
 
 from __future__ import annotations
@@ -16,24 +18,23 @@ import os
 import sys
 import warnings
 from contextlib import contextmanager
-from itertools import repeat
 
 
 def worker_count(n_tasks: int) -> int:
     """Processes to run `n_tasks` independent tasks in: one per usable CPU, at
-    most one per task. The CPU affinity call exists only on Linux, which limits
-    the pool to Linux; elsewhere this is 1."""
+    most one per task. The CPU affinity call exists only on Linux, so work
+    forks only there; elsewhere this is 1."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
     return min(len(os.sched_getaffinity(0)), n_tasks)
 
 
 def _one_blas_thread() -> None:
-    """Worker initializer: limit OpenBLAS, the BLAS numpy's wheels bundle, to one
-    thread. The workers and the caller already share the usable CPUs, so BLAS
+    """In a child: limit OpenBLAS, the BLAS numpy's wheels bundle, to one
+    thread. The children and the caller already share the usable CPUs, so BLAS
     threads on top of them only contend for the same cores. Another BLAS keeps
     its default, and so does OpenBLAS where its library cannot be found or
-    loaded: an initializer that raised would break the pool."""
+    loaded: the calls run correctly without the limit."""
     import ctypes
 
     try:
@@ -49,18 +50,27 @@ def _one_blas_thread() -> None:
                 setter(1)
 
 
-def _call_in_worker(fn, *args):
-    """`fn(*args)` in a worker process. Also returns the warnings raised on the
-    way, as (warning, filename, lineno): a worker cannot show them to its
-    parent's filters, so the parent re-emits them with `_rewarn`."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = fn(*args)
-    return result, [(w.message, w.filename, w.lineno) for w in caught]
+def _run_in_child(conn, fn, calls) -> None:
+    """A forked child's work: `fn(*args)` for each `args` of `calls`, in order,
+    up to the first error. Sends back the value of each call made with the
+    warnings it raised, as (warning, filename, lineno), then the error or None.
+    A child cannot show its warnings to its parent's filters, so the parent
+    re-emits them with `_rewarn`."""
+    _one_blas_thread()
+    done, error = [], None
+    try:
+        for args in calls:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                value = fn(*args)
+            done.append((value, [(w.message, w.filename, w.lineno) for w in caught]))
+    except Exception as exc:  # noqa: BLE001 - raised again in the parent
+        error = exc
+    conn.send((done, error))
 
 
 def _rewarn(caught) -> None:
-    """Re-emit the warnings a worker recorded through this process's filters,
+    """Re-emit the warnings a child recorded through this process's filters,
     with the module and registry that `warnings.warn` would have used."""
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for message, filename, lineno in caught:
@@ -68,6 +78,82 @@ def _rewarn(caught) -> None:
         name = module.__name__ if module else None
         registry = vars(module).setdefault("__warningregistry__", {}) if module else None
         warnings.warn_explicit(message, type(message), filename, lineno, name, registry)
+
+
+@contextmanager
+def _children(fn, shares):
+    """One forked child per share of calls, as (process, receiving end of its
+    pipe). Every child is reaped when the block ends, and killed first if the
+    block raises. A fork copies only the calling thread, so `fn` must not need
+    a lock that another thread may hold, such as a BLAS thread pool's."""
+    from multiprocessing import get_context
+
+    ctx = get_context("fork")
+    children = []
+    try:
+        for calls in shares:
+            receiver, sender = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_run_in_child, args=(sender, fn, calls))
+            children.append((child, receiver))
+            # closed before the next fork, so that only its own child holds it and a
+            # child that dies makes its receiver see EOF
+            with sender:
+                child.start()
+        yield children
+    except BaseException:
+        for child, _ in children:
+            if child.pid is not None:
+                child.kill()
+        raise
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.pid is not None:
+                child.join()
+                child.close()
+
+
+def _report(child, receiver):
+    """Wait for a child's report: the (value, warnings) of each call it made,
+    and its error or None. A child that dies before it reports is an error."""
+    try:
+        return receiver.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(f"forked child exited with code {child.exitcode}") from None
+
+
+def _in_call_order(reports, n_calls: int) -> list:
+    """The values of `n_calls` calls dealt out strided over the children that
+    sent `reports`, in call order, with each call's warnings re-emitted in that
+    order. Raises the first error in call order: a child stops only at an error
+    of its own, so every call before it was made and succeeded."""
+    values = []
+    for i in range(n_calls):
+        done, error = reports[i % len(reports)]
+        if i // len(reports) == len(done):
+            raise error
+        value, caught = done[i // len(reports)]
+        _rewarn(caught)
+        values.append(value)
+    return values
+
+
+def map(fn, calls, processes: int) -> list:  # noqa: A001 - the parallel form of map
+    """`fn(*args)` for each `args` of `calls`, with the values in call order.
+
+    With 2 or more `processes`, forked child `k` makes the calls
+    `calls[k::processes]` while this process waits; `_in_call_order` then
+    re-emits their warnings and raises the first error in call order. With one
+    process, or one call, the calls are made here, in order.
+    """
+    calls = list(calls)
+    processes = min(processes, len(calls))
+    if processes <= 1:
+        return [fn(*args) for args in calls]
+    with _children(fn, [calls[k::processes] for k in range(processes)]) as children:
+        reports = [_report(*child) for child in children]
+    return _in_call_order(reports, len(calls))
 
 
 class Outcome:
@@ -87,119 +173,24 @@ class Outcome:
         return self._value
 
 
-class _Ready:
-    """The value of a call already made in this process."""
-
-    def __init__(self, value):
-        self._value = value
+class _Returned:
+    """`forked`'s handle: `result()` gives the child's value once the block has ended."""
 
     def result(self):
-        return self._value
-
-
-class _Pending:
-    """A call running in a worker; `result()` waits for it, re-emits its
-    warnings, and returns its value or raises its error."""
-
-    def __init__(self, future):
-        self._future = future
-
-    def result(self):
-        value, caught = self._future.result()
-        _rewarn(caught)
-        return value
-
-
-class Pool:
-    """A context manager over `processes` forked workers, or over this process
-    when `processes` is 0. `submit` and `map` behave the same on both, apart
-    from where the work runs."""
-
-    def __init__(self, processes: int):
-        self.processes = processes
-        self._executor = None
-
-    def __enter__(self) -> "Pool":
-        if self.processes:
-            # imported here: the pool machinery holds about 1 MB that in-process callers never use
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-
-            # fork: a worker starts from this process's memory, with no re-import
-            self._executor = ProcessPoolExecutor(self.processes, mp_context=get_context("fork"),
-                                                 initializer=_one_blas_thread)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        if self._executor is not None:
-            self._executor.shutdown()
-
-    def submit(self, fn, *args):
-        """Start `fn(*args)`; the returned handle's `result()` gives its value or
-        raises its error. In this process the call runs at once, and its error
-        is raised at once."""
-        if self._executor is None:
-            return _Ready(fn(*args))
-        return _Pending(self._executor.submit(_call_in_worker, fn, *args))
-
-    def map(self, fn, *iterables):
-        """`fn` over the zipped iterables, yielding results in order. In this
-        process each call runs when its result is asked for, and the first error
-        ends the iteration."""
-        if self._executor is None:
-            yield from map(fn, *iterables)
-            return
-        for value, caught in self._executor.map(_call_in_worker, repeat(fn), *iterables):
-            _rewarn(caught)
-            yield value
-
-
-def _call_and_report(conn, fn, args) -> None:
-    """`forked`'s child: make the call, then send its error, or None, and its warnings."""
-    try:
-        _, caught = _call_in_worker(fn, *args)
-        outcome = None, caught
-    except Exception as exc:  # noqa: BLE001 - raised again in the parent
-        outcome = exc, []
-    conn.send(outcome)
+        return self.value
 
 
 @contextmanager
 def forked(fn, *args):
-    """Run `fn(*args)` in one forked child while the block runs; its value is dropped.
+    """Run `fn(*args)` in one forked child while the block runs.
 
-    The child starts from this process's memory, so `args` are not pickled.
-    A fork copies only the calling thread, so `fn` must not need a lock that
-    another thread may hold, such as a BLAS thread pool's. When the block
-    ends, this waits for the child, re-emits its warnings and raises its
-    error. If the block raises, the child is killed first. A process with no
-    executor and no helper thread: a `Pool` holds its executor threads'
-    memory after it shuts down.
+    When the block ends, this waits for the child, re-emits its warnings and
+    raises its error; otherwise the handle the block gets then gives the
+    child's value through `result()`. If the block raises, the child is killed
+    first.
     """
-    from multiprocessing import get_context
-
-    ctx = get_context("fork")
-    receiver, sender = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_call_and_report, args=(sender, fn, args))
-    try:
-        child.start()
-        sender.close()
-        try:
-            yield
-            try:
-                error, caught = receiver.recv()
-            except EOFError:  # the child died before it could report
-                child.join()
-                raise ChildProcessError(f"forked child exited with code {child.exitcode}") from None
-        except BaseException:
-            child.kill()
-            raise
-        finally:
-            child.join()
-            child.close()
-    finally:
-        sender.close()
-        receiver.close()
-    _rewarn(caught)
-    if error is not None:
-        raise error
+    handle = _Returned()
+    with _children(fn, [[args]]) as [child]:
+        yield handle
+        report = _report(*child)
+    [handle.value] = _in_call_order([report], 1)

@@ -11,7 +11,6 @@ import hashlib
 import statistics
 import sys
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -420,10 +419,9 @@ def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, seeds=None) -> Stud
         raise ValueError("run_study needs at least one seed")
     table, source_info = load_study_table(cfg, data_dir=data_dir)
     table = prepare_table(cfg, table)
-    # one worker per seed and usable CPU; with one, the seeds run in this process
-    workers = parallel.worker_count(len(seeds))
-    with parallel.Pool(workers if workers > 1 else 0) as pool:
-        runs = list(pool.map(_run_seed, repeat(cfg), repeat(table), seeds))
+    # one forked child per seed and usable CPU; with one, the seeds run in this process
+    runs = parallel.map(_run_seed, [(cfg, table, seed) for seed in seeds],
+                        parallel.worker_count(len(seeds)))
     effective = dict(cfg.raw, seeds=seeds)
     result = StudyResult(cfg.name, cfg.digest(), effective, source_info, runs, _aggregate(cfg, runs))
     if out_dir is not None:

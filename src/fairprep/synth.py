@@ -11,6 +11,7 @@ allows: model accuracy against the world before the bias was added.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -165,22 +166,25 @@ def synth_check(
     if model_cfg is None:
         model_cfg = TrainConfig(seed=spec.seed)
 
-    # With two usable CPUs and a large enough table, one forked worker trains and rewrites
-    # while this process probes and fits the raw table, then probes the rewritten table
-    # while this process fits it. Otherwise the same calls run here, one after another.
-    # Every stage is seeded and self-contained, so the results are the same bits either
-    # way. Errors are raised in the order of the stages in a sequential run: train and
-    # transform, probe pre, probe post, fit pre, fit post.
-    overlapping = 2 if table.n_rows >= MIN_ROWS_FOR_A_WORKER else 1
-    with parallel.Pool(parallel.worker_count(overlapping) - 1) as pool:
-        rewriting = pool.submit(_debiased, table, debias_cfg)
+    # With two usable CPUs and a large enough table, one forked child trains and rewrites
+    # while this process probes and fits the raw table, then a second probes the rewritten
+    # table while this process fits it. Otherwise the same calls run here, one after
+    # another. Every stage is seeded and self-contained, so the results are the same bits
+    # either way. Errors are raised in the order of the stages in a sequential run: train
+    # and transform, probe pre, probe post, fit pre, fit post.
+    fork = parallel.worker_count(2 if table.n_rows >= MIN_ROWS_FOR_A_WORKER else 1) > 1
+
+    def beside(fn, *args):
+        return parallel.forked(fn, *args) if fork else nullcontext(parallel.Outcome(fn, *args))
+
+    with beside(_debiased, table, debias_cfg) as rewriting:
         probe_pre = parallel.Outcome(leakage_probe, table, PROTECTED_COLUMN, spec.seed)
         fit_pre = parallel.Outcome(_fit_and_score, table, fair_labels, spec.seed, model_cfg)
-        debiased = rewriting.result()
-        auc_pre = probe_pre.result()
-        probe_post = pool.submit(leakage_probe, debiased, PROTECTED_COLUMN, spec.seed)
+    debiased = rewriting.result()
+    auc_pre = probe_pre.result()
+    with beside(leakage_probe, debiased, PROTECTED_COLUMN, spec.seed) as probe_post:
         fit_post = parallel.Outcome(_fit_and_score, debiased, fair_labels, spec.seed, model_cfg)
-        auc_post = probe_post.result()
+    auc_post = probe_post.result()
     obs_pre, fair_pre, bias_pre = fit_pre.result()
     obs_post, fair_post, bias_post = fit_post.result()
 

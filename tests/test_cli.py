@@ -638,6 +638,34 @@ def test_synth_check_divergence_exits_three(capsys, monkeypatch, workers):
     assert "non-finite" in err
 
 
+def _dies(*args):
+    os._exit(3)
+
+
+def test_run_study_worker_that_dies_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    import fairprep.parallel as parallel
+    import fairprep.studies as studies
+
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(studies, "train_debiaser", _dies)
+    code = _run(["run-study", "--config", STUDIES / "heart.json", "--seeds", 2,
+                 "--out", tmp_path / "out", "--offline"])
+    assert code == 2
+    assert capsys.readouterr().err == "data error: forked child exited with code 3\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_synth_check_worker_that_dies_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
+    import fairprep.parallel as parallel
+    import fairprep.synth as synth
+
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(synth, "train_debiaser", _dies)
+    assert _run(["synth-check", "--n", 600, "--report", tmp_path / "synth.json"]) == 2
+    assert capsys.readouterr().err == "data error: forked child exited with code 3\n"
+    assert not (tmp_path / "synth.json").exists()
+
+
 def test_run_study_divergence_in_worker_processes_exits_three(tmp_path, capsys, monkeypatch):
     import fairprep.parallel as parallel
 

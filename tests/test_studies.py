@@ -285,8 +285,7 @@ def _os_threads():
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads in /proc")
 def test_this_process_has_one_thread_when_it_forks_a_worker(monkeypatch):
     # Python 3.12+ warns on a fork from a process with more than one OS thread.
-    # OpenBLAS joins its threads before a fork; the pool forks before it starts
-    # its own thread.
+    # OpenBLAS joins its threads before a fork, and forking starts no thread.
     a = np.ones((512, 512))
     a @ a  # start BLAS threads, where the BLAS has them
     fork, counts = os.fork, []
@@ -302,9 +301,9 @@ def test_this_process_has_one_thread_when_it_forks_a_worker(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         run_study(_quick_heart(), seeds=[0, 1])
-        # synth_check forks one worker to train in, next to this process
+        # synth_check forks one child to train in and one to probe in, next to this process
         synth_check(SyntheticSpec(n=300, seed=1), DebiasConfig(seed=1, epochs=2))
-    assert counts == [1, 1, 1]
+    assert counts == [1, 1, 1, 1]
 
 
 def _openblas_threads():
