@@ -5,6 +5,13 @@ The runs use the checkout this script sits in:
 
 - `run_study` on all five bundled studies, seeds [0, 1]: the result JSON and
   every bias/histogram CSV;
+- `run_study`, seed 0 and 20 debiaser epochs, on three edited copies of
+  bundled configs (`VARIANTS`): heart with its `model` cut to the kind and
+  its `audit` block to the groups and stratum labels, so every default is
+  resolved where it is kept; heart fitting the debiaser on the train split,
+  with a 0.25 test fraction and 7 bins on [-0.5, 1.5] over the test rows;
+  and passnyc with its `model` cut to `{"kind": "ridge"}` and no `bins` or
+  `range`;
 - `synth_check(SyntheticSpec(n=2000, seed=3))`, written as its report JSON;
 - `fairprep debias` with `--report`, `--model-out` and `--trace-csv` on a
   generated 300-row CSV that has a 3-category protected column, a drop-role
@@ -31,6 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import json
 import os
 import shutil
 import subprocess
@@ -69,6 +77,46 @@ CLI_SCHEMA = [
     {"name": "grp", "kind": "categorical", "categories": ["p", "q", "r"]},
     {"name": "y", "kind": "binary", "role": "target"},
 ]
+
+
+# name -> (bundled study, edit of its config)
+VARIANTS = {
+    "heart_defaults": ("heart", lambda c: c.update(
+        model={"kind": "logistic"},
+        audit={k: c["audit"][k] for k in ("groups", "stratum_labels")},
+    )),
+    "heart_held_out": ("heart", lambda c: c.update(
+        fit_debias_on="train",
+        test_fraction=0.25,
+        audit=dict(c["audit"], on="test", bins=7, range=[-0.5, 1.5]),
+    )),
+    "passnyc_defaults": ("passnyc", lambda c: c.update(
+        model={"kind": "ridge"},
+        audit={k: v for k, v in c["audit"].items() if k not in ("on", "bins", "range")},
+    )),
+}
+
+
+def _run_variants(out: Path) -> None:
+    """Run every VARIANTS config from a scratch directory laid out like the
+    checkout, so each result records the same relative paths as the bundled runs."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "studies").mkdir()
+        os.symlink(ROOT / "data", work / "data")
+        for name, (study, edit) in VARIANTS.items():
+            config = json.loads((ROOT / "studies" / f"{study}.json").read_text(encoding="utf-8"))
+            edit(config)
+            config.update(name=name, seeds=[0])
+            config["debias"]["epochs"] = 20
+            write_json(work / "studies" / f"{name}.json", config)
+        os.chdir(work)
+        try:
+            for name in VARIANTS:
+                cfg = StudyConfig.from_json(Path("studies") / f"{name}.json")
+                run_study(cfg, out_dir=out / "variants")
+        finally:
+            os.chdir(ROOT)
 
 
 def _write_cli_inputs(work: Path) -> None:
@@ -111,6 +159,7 @@ def run_all(out: Path) -> None:
         # relative, so the dataset path recorded in each result is the same in every checkout
         cfg = StudyConfig.from_json(Path("studies") / f"{name}.json")
         run_study(cfg, out_dir=out / "studies", seeds=[0, 1])
+    _run_variants(out)
     write_json(out / "synth_n2000_seed3.json", synth_check(SyntheticSpec(n=2000, seed=3)).to_jsonable())
 
     cli = out / "cli"

@@ -20,6 +20,26 @@ from .ioutil import atomic_write_text, to_jsonable
 from .tabular import DataError
 
 
+BINS, VALUE_RANGE = 20, (0.0, 1.0)  # the histograms an audit draws unless told otherwise
+
+
+def check_settings(bins: int = BINS, value_range=VALUE_RANGE, group_pair=None) -> None:
+    """Raise DataError unless `bins` equal bins of `value_range` are finite and nonzero,
+    and `group_pair`, if given, names two different groups (`audit` itself lets a
+    group be paired with itself)."""
+    if bins < 1:
+        raise DataError(f"bins must be >= 1, got {bins}")
+    lo, hi = value_range
+    try:
+        width = (float(hi) - float(lo)) / bins
+    except OverflowError:  # an int past the float range
+        width = math.inf
+    if not 0.0 < width < math.inf:
+        raise DataError(f"range [{lo}, {hi}] is reversed, infinite or too narrow for {bins} bins")
+    if group_pair is not None and group_pair[0] == group_pair[1]:
+        raise DataError(f"group pair names {group_pair[0]!r} twice: the two groups compared must differ")
+
+
 @dataclass(frozen=True)
 class GroupStats:
     """Estimate distribution for one (group, stratum) cell."""
@@ -168,13 +188,9 @@ def histogram(estimates, bins: int, lo: float, hi: float) -> Histogram:
     estimates = np.asarray(estimates, dtype=float).ravel()
     if estimates.size == 0:
         raise DataError("histogram of empty input")
-    if bins < 1:
-        raise DataError(f"bins must be >= 1, got {bins}")
-    if not hi > lo:
-        raise DataError(f"need hi > lo, got [{lo}, {hi}]")
+    check_settings(bins, (lo, hi))
+    lo, hi = float(lo), float(hi)
     width = (hi - lo) / bins
-    if not 0.0 < width < math.inf:
-        raise DataError(f"range [{lo}, {hi}] is infinite or too narrow for {bins} bins")
     if np.isnan(estimates).any():
         raise DataError("histogram of a NaN value")
     low, high = estimates < lo, estimates >= hi
@@ -194,8 +210,8 @@ def audit(
     strata,
     group_pair=None,
     performance=None,
-    bins: int = 20,
-    value_range=(0.0, 1.0),
+    bins: int = BINS,
+    value_range=VALUE_RANGE,
     true_values=None,
     metadata=None,
 ) -> AuditReport:

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from .mlcore import SingularSystemError, TrainingDivergedError
 from .studies import StudyConfig, run_study
 from .synth import SyntheticSpec, synth_check
 from .tabular import (
-    ColumnSpec,
     DataError,
     DataTable,
     SchemaError,
@@ -63,6 +62,7 @@ class _UsageError(Exception):
 
 
 def _build_parser() -> _Parser:
+    debias, spec = DebiasConfig(), SyntheticSpec()  # the defaults the options keep
     parser = _Parser(prog="fairprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -75,12 +75,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--model-out", help="fitted model JSON path")
     p.add_argument("--report", help="report JSON path (training trace, probe AUCs)")
     p.add_argument("--trace-csv", help="training trace CSV path")
-    p.add_argument("--lambda", dest="adversary_weight", type=float, default=1.0,
+    p.add_argument("--lambda", dest="adversary_weight", type=float, default=debias.adversary_weight,
                    help="adversary weight (0 = plain autoencoder)")
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--latent", type=int, default=None)
-    p.add_argument("--adversary-steps", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=debias.epochs)
+    p.add_argument("--latent", dest="latent_dim", type=int, default=debias.latent_dim)
+    p.add_argument("--adversary-steps", type=int, default=debias.adversary_steps)
+    p.add_argument("--seed", type=int, default=debias.seed)
 
     p = sub.add_parser("audit", help="bias table from a standalone estimates CSV")
     p.add_argument("--estimates", required=True,
@@ -88,8 +88,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--groups", required=True, help="name of the group column")
     p.add_argument("--strata", help="name of the stratum column (omit for a single stratum)")
     p.add_argument("--group-pair", help="comma-separated pair of groups to compare")
-    p.add_argument("--bins", type=int, default=20)
-    p.add_argument("--range", dest="value_range", default="0,1", help="histogram range lo,hi")
+    p.add_argument("--bins", type=int, default=audit_mod.BINS)
+    p.add_argument("--range", dest="value_range", default=",".join(map(str, audit_mod.VALUE_RANGE)),
+                   help="histogram range lo,hi")
     p.add_argument("--report", help="report JSON path")
 
     p = sub.add_parser("run-study", help="run a case-study config end to end")
@@ -103,13 +104,23 @@ def _build_parser() -> _Parser:
                    help=f"dataset cache directory (default ${DATA_DIR_ENV})")
 
     p = sub.add_parser("synth-check", help="ground-truth check on synthetic biased data")
-    p.add_argument("--n", type=int, default=2000)
-    p.add_argument("--beta", type=float, default=0.3, help="label-corruption strength")
-    p.add_argument("--rho", type=float, default=0.8, help="proxy correlation strength")
-    p.add_argument("--prevalence", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=int, default=spec.n)
+    p.add_argument("--beta", dest="bias_strength", type=float, default=spec.bias_strength,
+                   help="label-corruption strength")
+    p.add_argument("--rho", dest="proxy_strength", type=float, default=spec.proxy_strength,
+                   help="proxy correlation strength")
+    p.add_argument("--prevalence", type=float, default=spec.prevalence)
+    p.add_argument("--seed", type=int, default=spec.seed)
     p.add_argument("--report", help="report JSON path")
     return parser
+
+
+def _config(cls, args):
+    """A `cls` made from the options named after its fields; a value it refuses is a usage error."""
+    try:
+        return cls(**{f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)})
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
 
 
 def _cmd_debias(args) -> int:
@@ -121,32 +132,17 @@ def _cmd_debias(args) -> int:
     for name in protected:
         if name not in names:
             raise SchemaError(f"--protected column {name!r} not in schema")
-    relabeled = []
-    for s in schema:
-        if s.name in protected:
-            role = "protected"
-        elif s.role == "protected":
-            role = "feature"
-        else:
-            role = s.role
-        relabeled.append(ColumnSpec(s.name, s.kind, role,
-                                    s.categories if s.kind == "categorical" else ()))
+    relabeled = [
+        replace(s, role="protected" if s.name in protected else "feature" if s.role == "protected" else s.role)
+        for s in schema
+    ]
     full_table = load_csv(args.input, relabeled)
     # drop-role columns (ids, free text) stay out of the model but pass through
     # to the output so the debiased CSV keeps the input header
     carried = [s.name for s in relabeled if s.role == "drop"]
     table = drop_columns(full_table, carried) if carried else full_table
 
-    try:
-        cfg = DebiasConfig(
-            latent_dim=args.latent,
-            adversary_weight=args.adversary_weight,
-            epochs=args.epochs,
-            adversary_steps=args.adversary_steps,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    cfg = _config(DebiasConfig, args)
     report = {
         "config": asdict(cfg),
         "input": os.path.basename(args.input),
@@ -189,6 +185,18 @@ def _cmd_debias(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    pair = None
+    if args.group_pair:
+        pair = tuple(p.strip() for p in args.group_pair.split(","))
+        if len(pair) != 2:
+            raise _UsageError("--group-pair needs exactly two comma-separated labels")
+    try:
+        lo, hi = (float(v) for v in args.value_range.split(","))
+        audit_mod.check_settings(args.bins, (lo, hi), pair)
+    except DataError as exc:
+        raise _UsageError(str(exc)) from None
+    except ValueError:
+        raise _UsageError("--range must be lo,hi") from None
     path = Path(args.estimates)
     header, columns = read_csv_columns(path)
     if not any(columns):
@@ -203,18 +211,6 @@ def _cmd_audit(args) -> int:
         raise DataError(f"{path}: unparseable estimate: {exc}") from None
     groups = columns[index[args.groups]]
     strata = columns[index[args.strata]] if args.strata else ["all"] * len(groups)
-    pair = None
-    if args.group_pair:
-        parts = [p.strip() for p in args.group_pair.split(",")]
-        if len(parts) != 2:
-            raise _UsageError("--group-pair needs exactly two comma-separated labels")
-        if parts[0] == parts[1]:
-            raise _UsageError(f"--group-pair names group {parts[0]!r} twice")
-        pair = tuple(parts)
-    try:
-        lo, hi = (float(v) for v in args.value_range.split(","))
-    except ValueError:
-        raise _UsageError("--range must be lo,hi") from None
     report = audit_mod.audit(
         estimates,
         groups,
@@ -261,13 +257,7 @@ def _cmd_run_study(args) -> int:
 
 
 def _cmd_synth_check(args) -> int:
-    try:
-        spec = SyntheticSpec(
-            n=args.n, prevalence=args.prevalence,
-            proxy_strength=args.rho, bias_strength=args.beta, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
+    spec = _config(SyntheticSpec, args)
     result = synth_check(spec)
     sys.stdout.write(
         f"probe AUC {result.probe_auc_pre:.3f} -> {result.probe_auc_post:.3f}\n"
@@ -276,7 +266,7 @@ def _cmd_synth_check(args) -> int:
     pre = sum(result.bias_scores_pre.values()) / len(result.bias_scores_pre)
     post = sum(result.bias_scores_post.values()) / len(result.bias_scores_post)
     sys.stdout.write(f"bias score (mean over strata) {pre:.3f} -> {post:.3f}\n")
-    if args.beta == 0.0 and args.rho == 0.0:
+    if spec.bias_strength == 0.0 and spec.proxy_strength == 0.0:
         sys.stdout.write("no bias injected: pre and post should match\n")
     if args.report:
         write_json(args.report, result.to_jsonable())

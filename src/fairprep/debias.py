@@ -23,11 +23,9 @@ characteristic can no longer be recovered from it.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
-from numbers import Integral
 
 import numpy as np
 
@@ -41,6 +39,8 @@ from .mlcore import (
     _row_sum,
     adam_init,
     adam_step,
+    check_count,
+    check_finite,
     derive_rng,
     mlp_backward,
     mlp_forward,
@@ -74,24 +74,13 @@ class DebiasConfig:
     adversary_hidden: int | None = None  # None: latent_dim
 
     def __post_init__(self):
-        for name in ("latent_dim", "epochs", "adversary_steps", "batch_size",
-                     "encoder_hidden", "adversary_hidden"):
-            value = getattr(self, name)
-            if value is not None and not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if self.latent_dim is not None and self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-        # `<= float_info.max`, not `< inf`: an int past the float range overflows in training
-        if not 0 <= self.adversary_weight <= sys.float_info.max:
-            raise ValueError(
-                f"adversary_weight must be finite and nonnegative, got {self.adversary_weight!r}"
-            )
-        if self.epochs < 1 or self.adversary_steps < 1:
-            raise ValueError("epochs and adversary_steps must be >= 1")
-        if not 0 < self.learning_rate <= sys.float_info.max:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("epochs", "adversary_steps", "batch_size"):
+            check_count(name, getattr(self, name))
+        for name in ("latent_dim", "encoder_hidden", "adversary_hidden"):
+            if getattr(self, name) is not None:  # None: sized from the data
+                check_count(name, getattr(self, name))
+        check_finite("adversary_weight", self.adversary_weight)
+        check_finite("learning_rate", self.learning_rate, positive=True)
 
 
 @dataclass
@@ -324,12 +313,12 @@ def transform(model: DebiasModel, table: DataTable) -> DataTable:
     return decode(DesignMatrix(recon, model.column_map, model.scaler, list(table.schema), mat.carried))
 
 
-def leakage_probe(table: DataTable, protected: str, seed: int, probe_cfg: TrainConfig | None = None) -> float:
+def leakage_probe(table: DataTable, protected: str, seed: int) -> float:
     """Test AUC of a fresh logistic probe predicting the protected column from the features.
 
-    Trains on a 70/30 split (stratified on the protected column). Near 0.5
-    means the features carry no recoverable signal. Multi-category columns are
-    scored one-vs-rest and averaged.
+    Trains with `TrainConfig`'s defaults on a 70/30 split (stratified on the
+    protected column). Near 0.5 means the features carry no recoverable
+    signal. Multi-category columns are scored one-vs-rest and averaged.
     """
     spec = table.spec(protected)
     if spec.kind == "numeric":
@@ -338,8 +327,6 @@ def leakage_probe(table: DataTable, protected: str, seed: int, probe_cfg: TrainC
     present = np.unique(codes[codes >= 0])
     if present.size < 2:
         raise DataError(f"protected column {protected!r} is single-class")
-    if probe_cfg is None:
-        probe_cfg = TrainConfig(learning_rate=0.1, epochs=500, l2=1e-4, seed=seed)
 
     split_seed = derive_rng(seed, "probe").integers(2**31)
     train_idx, test_idx = split_indices_on(table, protected, 0.3, split_seed)
@@ -353,7 +340,7 @@ def leakage_probe(table: DataTable, protected: str, seed: int, probe_cfg: TrainC
         y_train, y_test = y[train_idx], y[test_idx]
         if np.unique(y_train).size < 2 or np.unique(y_test).size < 2:
             raise DataError(f"probe split left a single class for category {spec.categories[positive]!r}")
-        probe = mlcore.fit_logistic(X_train, y_train, probe_cfg)
+        probe = mlcore.fit_logistic(X_train, y_train, TrainConfig(seed=seed))
         aucs.append(mlcore.auc(mlcore.predict(probe, X_test), y_test))
     return float(np.mean(aucs))
 

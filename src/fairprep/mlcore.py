@@ -16,7 +16,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -314,6 +314,20 @@ def adam_step(net: Mlp, param_grads, state: AdamState, lr: float,
 # downstream linear models
 
 
+def check_count(name: str, value) -> None:
+    """Raise ValueError unless `value` is an integer >= 1 (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
+def check_finite(name: str, value, *, positive: bool = False) -> None:
+    """Raise ValueError unless `value` is a finite number >= 0, or > 0 if `positive` (a bool is not)."""
+    # `<= float_info.max`, not `< inf`: an int past the float range overflows in training
+    if not (isinstance(value, Real) and not isinstance(value, bool)
+            and (value > 0 if positive else value >= 0) and value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
+
+
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.1
@@ -322,15 +336,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.epochs, Integral):
-            raise ValueError(f"epochs must be an integer, got {self.epochs!r}")
-        # `<= float_info.max`, not `< inf`: an int past the float range overflows in training
-        if not 0 < self.learning_rate <= sys.float_info.max:
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if not 0 <= self.l2 <= sys.float_info.max:
-            raise ValueError(f"l2 must be finite and nonnegative, got {self.l2!r}")
+        check_finite("learning_rate", self.learning_rate, positive=True)
+        check_count("epochs", self.epochs)
+        check_finite("l2", self.l2)
 
 
 @dataclass
@@ -338,9 +346,7 @@ class LinearModel:
     weights: np.ndarray
     intercept: float
     kind: str  # "linear" | "logistic"
-    ridge_lambda: float = 0.0
     loss_history: list = field(default_factory=list, repr=False, compare=False)
-    train_config: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 def fit_logistic(X, y, cfg: TrainConfig) -> LinearModel:
@@ -386,8 +392,12 @@ def fit_logistic(X, y, cfg: TrainConfig) -> LinearModel:
         grad_b = float(np.mean(residual))
         w -= cfg.learning_rate * grad_w
         b -= cfg.learning_rate * grad_b
-    echo = {"learning_rate": cfg.learning_rate, "epochs": cfg.epochs, "l2": cfg.l2, "seed": cfg.seed}
-    return LinearModel(w, float(b), "logistic", cfg.l2, history, echo)
+    return LinearModel(w, float(b), "logistic", history)
+
+
+def check_ridge_lambda(ridge_lambda) -> None:
+    """Raise ValueError unless `ridge_lambda` is a penalty `fit_linear` takes."""
+    check_finite("ridge_lambda", ridge_lambda)
 
 
 def fit_linear(X, y, ridge_lambda: float = 0.0) -> LinearModel:
@@ -400,8 +410,7 @@ def fit_linear(X, y, ridge_lambda: float = 0.0) -> LinearModel:
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise ValueError(f"shape mismatch: X {X.shape}, y {y.shape}")
-    if not 0 <= ridge_lambda <= sys.float_info.max:
-        raise ValueError(f"ridge_lambda must be finite and nonnegative, got {ridge_lambda!r}")
+    check_ridge_lambda(ridge_lambda)
     x_mean = X.mean(axis=0)
     y_mean = float(y.mean())
     Xc = X - x_mean
@@ -417,7 +426,7 @@ def fit_linear(X, y, ridge_lambda: float = 0.0) -> LinearModel:
             "normal equations are singular; refit with ridge_lambda > 0"
         ) from exc
     b = y_mean - float(x_mean @ w)
-    return LinearModel(w, b, "linear", ridge_lambda, train_config={"ridge_lambda": ridge_lambda})
+    return LinearModel(w, b, "linear")
 
 
 def predict(model: LinearModel, X) -> np.ndarray:

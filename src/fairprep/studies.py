@@ -9,11 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import statistics
-import sys
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import audit as audit_mod
 from . import mlcore, parallel
@@ -26,6 +23,7 @@ from .tabular import (
     SchemaError,
     binarize_threshold,
     bucket_numeric,
+    check_test_fraction,
     drop_columns,
     drop_sparse_columns,
     encode_features,
@@ -36,54 +34,71 @@ from .tabular import (
     split_indices,
 )
 
-MODEL_KINDS = ("logistic", "linear", "ridge")
-
 # the keys a study config may carry; anything else is a typo and fails the load
 STUDY_KEYS = frozenset({
     "name", "source", "schema", "transforms", "protected", "target", "model", "debias",
     "seeds", "audit", "fit_debias_on", "test_fraction",
 })
-MODEL_KEYS = frozenset({"kind", "learning_rate", "epochs", "l2", "ridge_lambda"})
-AUDIT_KEYS = frozenset({"on", "groups", "group_labels", "stratum_labels", "bins", "range"})
+# the keys each model kind reads: every TrainConfig field but the seed, or the ridge penalty
+MODEL_KEYS = {
+    "logistic": frozenset({"kind"} | {f.name for f in fields(TrainConfig)} - {"seed"}),
+    "linear": frozenset({"kind", "ridge_lambda"}),
+    "ridge": frozenset({"kind", "ridge_lambda"}),
+}
+MODEL_KINDS = tuple(MODEL_KEYS)
 # every DebiasConfig field except the seed, which comes from the study's seed list
 DEBIAS_KEYS = frozenset(f.name for f in fields(DebiasConfig)) - {"seed"}
 FIT_DEBIAS_ON = ("full", "train")
 AUDIT_ON = ("all", "test")
 
 
-def _check_block(block, allowed, where: str) -> dict:
+def _check_block(block, allowed, where: str) -> None:
     if not isinstance(block, dict):
         raise SchemaError(f"{where} must be a JSON object")
     unknown = sorted(set(block) - allowed)
     if unknown:
         raise SchemaError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
-    return block
 
 
 def _is_label(value) -> bool:
     return isinstance(value, (str, int)) and not isinstance(value, bool)
 
 
-def _check_audit_values(audit: dict, where: str) -> None:
-    """Raise SchemaError unless the audit block's groups, bins, range and label maps are usable."""
-    groups = audit.get("groups")
-    if groups is not None and not (isinstance(groups, list) and len(groups) == 2
-                                   and all(map(_is_label, groups)) and groups[0] != groups[1]):
-        raise SchemaError(f"{where}.groups must be a list of two distinct strings or integers, "
-                          f"got {groups!r}")
-    bins = audit.get("bins", 20)
-    if not (type(bins) is int and bins >= 1):
-        raise SchemaError(f"{where}.bins must be an integer >= 1, got {bins!r}")
-    value_range = audit.get("range", [0.0, 1.0])
-    if not (isinstance(value_range, list) and len(value_range) == 2
-            and all(map(_is_finite_real, value_range))
-            and value_range[0] < value_range[1]):
-        raise SchemaError(f"{where}.range must be two finite numbers lo < hi, got {value_range!r}")
-    for key in ("group_labels", "stratum_labels"):
-        labels = audit.get(key, {})
-        if not (isinstance(labels, dict) and all(map(_is_label, labels.values()))):
-            raise SchemaError(f"{where}.{key} must be an object of string or integer labels, "
-                              f"got {labels!r}")
+def _is_pair(value, is_item) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(is_item, value))
+
+
+_LABEL_MAP = (lambda v: isinstance(v, dict) and all(map(_is_label, v.values())),
+              "an object of string or integer labels")
+# the JSON shape of each audit key; `audit_mod.check_settings` then checks bins, range and groups
+_AUDIT_SHAPES = {
+    "on": (lambda v: v in AUDIT_ON, f"one of {AUDIT_ON}"),
+    "groups": (lambda v: v is None or _is_pair(v, _is_label), "a list of two strings or integers"),
+    "bins": (lambda v: type(v) is int, "an integer"),
+    "range": (lambda v: _is_pair(v, lambda x: type(x) in (int, float)), "a list of two numbers"),
+    "group_labels": _LABEL_MAP,
+    "stratum_labels": _LABEL_MAP,
+}
+AUDIT_KEYS = frozenset(_AUDIT_SHAPES)
+
+
+def _audit_settings(audit: dict) -> dict:
+    """The audit block's bins, range and groups as `audit_mod.audit` keywords, if it sets them."""
+    settings = {"bins": audit.get("bins"), "value_range": audit.get("range"),
+                "group_pair": audit.get("groups")}
+    return {k: v for k, v in settings.items() if v is not None}
+
+
+def _check_audit(audit) -> None:
+    _check_block(audit, AUDIT_KEYS, "audit")
+    for key, value in audit.items():
+        is_shape, shape = _AUDIT_SHAPES[key]
+        if not is_shape(value):
+            raise SchemaError(f"audit.{key} must be {shape}, got {value!r}")
+    try:
+        audit_mod.check_settings(**_audit_settings(audit))
+    except DataError as exc:
+        raise SchemaError(f"audit: {exc}") from None
 
 
 def _apply_transform(table: DataTable, step: dict) -> DataTable:
@@ -111,85 +126,68 @@ def apply_transforms(table: DataTable, transforms) -> DataTable:
     return table
 
 
-@dataclass
+@dataclass(kw_only=True)
 class StudyConfig:
+    """A study recipe. Every setting is checked when the config is made, so a
+    bad one fails before any data is loaded or any model is trained."""
+
     name: str
-    source: dict
+    source: dict = field(default_factory=dict)
     schema: list
-    transforms: list
+    transforms: list = field(default_factory=list)
     protected: str
     target: str
     model: dict
-    debias: dict
-    seeds: list
+    debias: dict = field(default_factory=dict)
+    seeds: list = field(default_factory=lambda: [0, 1, 2, 3, 4])
     audit: dict = field(default_factory=dict)
     fit_debias_on: str = "full"  # "full": debiaser sees the whole table; "train": the train split only
     test_fraction: float = 0.3
     base_dir: Path = field(default_factory=Path)
     raw: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        kind = self.model.get("kind") if isinstance(self.model, dict) else None
+        if kind not in MODEL_KINDS:
+            raise SchemaError(f"model must be an object whose kind is one of {MODEL_KINDS}")
+        _check_block(self.model, MODEL_KEYS[kind], "model")
+        try:
+            if kind == "logistic":
+                _train_config(self.model, seed=0)
+            else:
+                mlcore.check_ridge_lambda(_ridge_lambda(self.model))
+        except ValueError as exc:
+            raise SchemaError(f"model: {exc}") from None
+        _check_block(self.debias, DEBIAS_KEYS, "debias")
+        try:
+            self.debias_config(seed=0)
+        except ValueError as exc:
+            raise SchemaError(f"debias: {exc}") from None
+        _check_audit(self.audit)
+        if self.fit_debias_on not in FIT_DEBIAS_ON:
+            raise SchemaError(f"fit_debias_on {self.fit_debias_on!r} is not one of {FIT_DEBIAS_ON}")
+        if not (isinstance(self.seeds, list) and self.seeds
+                and all(type(s) is int and s >= 0 for s in self.seeds)
+                and len(set(self.seeds)) == len(self.seeds)):
+            raise SchemaError(f"seeds must be a non-empty list of distinct "
+                              f"non-negative integers, got {self.seeds!r}")
+        check_test_fraction(self.test_fraction)
+
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(self.raw).encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json(cls, path) -> "StudyConfig":
+        """Load a study config; an unknown key or a bad value fails naming the file."""
         path = Path(path)
         data = read_json(path)
-        base = path.parent
         _check_block(data, STUDY_KEYS, path.name)
-        model = _check_block(data["model"], MODEL_KEYS, f"{path.name}: model")
-        if model.get("kind") not in MODEL_KINDS:
-            raise SchemaError(f"model kind must be one of {MODEL_KINDS}")
+        schema = load_schema(path.parent / data["schema"])
         try:
-            if model["kind"] == "logistic":
-                _train_config(model, seed=0)
-            elif not _is_finite_nonnegative_number(model.get("ridge_lambda", 0.0)):
-                raise ValueError(
-                    f"ridge_lambda must be a finite number >= 0, got {model['ridge_lambda']!r}"
-                )
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path.name}: model: {exc}") from None
-        debias = _check_block(data.get("debias", {}), DEBIAS_KEYS, f"{path.name}: debias")
-        try:
-            DebiasConfig(**debias)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path.name}: debias: {exc}") from None
-        audit = _check_block(data.get("audit", {}), AUDIT_KEYS, f"{path.name}: audit")
-        if audit.get("on", "all") not in AUDIT_ON:
-            raise SchemaError(f"{path.name}: audit.on {audit['on']!r} is not one of {AUDIT_ON}")
-        _check_audit_values(audit, f"{path.name}: audit")
-        fit_debias_on = data.get("fit_debias_on", "full")
-        if fit_debias_on not in FIT_DEBIAS_ON:
-            raise SchemaError(
-                f"{path.name}: fit_debias_on {fit_debias_on!r} is not one of {FIT_DEBIAS_ON}"
-            )
-        seeds = data.get("seeds", [0, 1, 2, 3, 4])
-        if not (isinstance(seeds, list) and seeds
-                and all(type(s) is int and s >= 0 for s in seeds)
-                and len(set(seeds)) == len(seeds)):
-            raise SchemaError(f"{path.name}: seeds must be a non-empty list of distinct "
-                              f"non-negative integers, got {seeds!r}")
-        test_fraction = data.get("test_fraction", 0.3)
-        if not (_is_real(test_fraction) and 0 < test_fraction < 1):
-            raise SchemaError(
-                f"{path.name}: test_fraction must be a number in (0,1), got {test_fraction!r}"
-            )
-        return cls(
-            name=data["name"],
-            source=data.get("source", {}),
-            schema=load_schema(base / data["schema"]),
-            transforms=data.get("transforms", []),
-            protected=data["protected"],
-            target=data["target"],
-            model=model,
-            debias=debias,
-            seeds=list(seeds),
-            audit=audit,
-            fit_debias_on=fit_debias_on,
-            test_fraction=float(test_fraction),
-            base_dir=base,
-            raw=data,
-        )
+            # every config key is a field; one the config leaves out keeps the field's default
+            return cls(**dict(data, schema=schema), base_dir=path.parent, raw=data)
+        except (SchemaError, TypeError) as exc:  # TypeError: a required key is missing
+            raise SchemaError(f"{path.name}: {exc}") from None
 
     def debias_config(self, seed: int) -> DebiasConfig:
         return DebiasConfig(seed=seed, **self.debias)
@@ -245,37 +243,36 @@ def prepare_table(cfg: StudyConfig, table: DataTable) -> DataTable:
         raise SchemaError(f"column {cfg.protected!r} is not role=protected after transforms")
     if table.spec(cfg.target).role != "target":
         raise SchemaError(f"column {cfg.target!r} is not role=target after transforms")
+    # the audit compares these groups on every seed: a name that is no group fails here, untrained
+    group = _group_of(cfg)
+    present = [group(c) for c in table.spec(cfg.protected).categories]
+    for name in cfg.audit.get("groups") or ():
+        if name not in present:
+            raise SchemaError(f"audit.groups {name!r} is not a group of column "
+                              f"{cfg.protected!r}; its groups are {present}")
     return table
 
 
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _is_finite_real(value) -> bool:
-    # an int past the float range is no finite float: float() of it overflows
-    return _is_real(value) and abs(value) <= sys.float_info.max
-
-
-def _is_finite_nonnegative_number(value) -> bool:
-    return _is_finite_real(value) and value >= 0
+def _group_of(cfg: StudyConfig):
+    """The audited group of a protected cell: its `audit.group_labels` entry, or itself."""
+    labels = cfg.audit.get("group_labels", {})
+    return lambda cell: labels.get(str(cell), cell)
 
 
 def _train_config(model: dict, seed: int) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=model.get("learning_rate", 0.1),
-        epochs=model.get("epochs", 500),
-        l2=model.get("l2", 1e-4),
-        seed=seed,
-    )
+    """A logistic model block's TrainConfig; a key the block leaves out keeps its default."""
+    return TrainConfig(seed=seed, **{k: v for k, v in model.items() if k != "kind"})
+
+
+def _ridge_lambda(model: dict):
+    """A linear model block's penalty; left out, it is 1 for `ridge` and 0 for `linear`."""
+    return model.get("ridge_lambda", 1.0 if model["kind"] == "ridge" else 0.0)
 
 
 def _fit_model(cfg: StudyConfig, X_train, y_train, seed: int):
-    kind = cfg.model["kind"]
-    if kind == "logistic":
+    if cfg.model["kind"] == "logistic":
         return mlcore.fit_logistic(X_train, y_train, _train_config(cfg.model, seed))
-    lam = float(cfg.model.get("ridge_lambda", 1.0 if kind == "ridge" else 0.0))
-    return mlcore.fit_linear(X_train, y_train, lam)
+    return mlcore.fit_linear(X_train, y_train, float(_ridge_lambda(cfg.model)))
 
 
 def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.AuditReport:
@@ -305,30 +302,23 @@ def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.Audi
     audit_on = audit_cfg.get("on", "all")
     rows = list(range(table.n_rows)) if audit_on == "all" else list(test_idx)
     audited = table.take_rows(rows)
-    group_labels = audit_cfg.get("group_labels", {})
-    stratum_labels = audit_cfg.get("stratum_labels", {})
-    groups = audited.map_cells(cfg.protected, lambda v: group_labels.get(str(v), v))
+    groups = audited.map_cells(cfg.protected, _group_of(cfg))
     if classification:
+        stratum_labels = audit_cfg.get("stratum_labels", {})
         strata = audited.map_cells(cfg.target, lambda v: stratum_labels.get(str(v), str(v)))
         true_values = None
     else:
         strata = ["all"] * len(rows)
         true_values = y[rows]
 
-    pair = audit_cfg.get("groups")
-    if pair is not None:
-        pair = tuple(pair)
-    lo, hi = audit_cfg.get("range", (0.0, 1.0))
     return audit_mod.audit(
         estimates[rows],
         groups,
         strata,
-        group_pair=pair,
         performance=performance,
-        bins=audit_cfg.get("bins", 20),
-        value_range=(float(lo), float(hi)),
         true_values=true_values,
         metadata={"seed": seed, "config_digest": cfg.digest(), "audit_on": audit_on},
+        **_audit_settings(audit_cfg),
     )
 
 

@@ -17,6 +17,7 @@ import math
 import shutil
 from dataclasses import dataclass
 from itertools import islice, repeat
+from numbers import Real
 from operator import itemgetter
 from pathlib import Path
 from types import MappingProxyType
@@ -517,6 +518,12 @@ def drop_sparse_columns(table: DataTable, k: int) -> DataTable:
     return drop_columns(table, doomed)
 
 
+def check_test_fraction(test_fraction) -> None:
+    """Raise SchemaError unless `test_fraction` is a number strictly between 0 and 1."""
+    if not (isinstance(test_fraction, Real) and 0.0 < test_fraction < 1.0):  # a bool is 0 or 1
+        raise SchemaError(f"test_fraction must be a number in (0,1), got {test_fraction!r}")
+
+
 def split_indices(table: DataTable, test_fraction: float, seed: int):
     """Deterministic (seeded) train/test row indices, stratified on the target column."""
     targets = table.specs_with_role("target")
@@ -531,8 +538,7 @@ def split_indices_on(table: DataTable, column: str, test_fraction: float, seed: 
     Categorical/binary columns are split class by class; numeric columns get a
     plain shuffled split. Returns sorted (train_indices, test_indices).
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise SchemaError(f"test_fraction must be in (0,1), got {test_fraction}")
+    check_test_fraction(test_fraction)
     if table.n_rows < 10:
         raise DataError(f"need >= 10 rows to split, have {table.n_rows}")
     spec = table.spec(column)

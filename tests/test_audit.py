@@ -12,6 +12,7 @@ from fairprep.audit import (
     audit,
     bias_score,
     bias_table_csv,
+    check_settings,
     group_stats,
     histogram,
     render_bias_table,
@@ -176,6 +177,29 @@ def test_histogram_value_just_below_hi_lands_in_last_bin():
         h = histogram([v], bins, 0.0, 1.0)
         assert h.counts == [0] * (bins - 1) + [1]
         assert h.clamped_low == h.clamped_high == 0
+
+
+@pytest.mark.parametrize("bins, value_range, pair, named", [
+    (0, (0.0, 1.0), None, "bins must be >= 1"),
+    (20, (1.0, 0.0), None, "reversed"),
+    (20, (math.nan, 1.0), None, "reversed"),
+    (20, (-1e308, 1e308), None, "infinite or too narrow"),
+    (20, (0.0, 5e-324), None, "infinite or too narrow"),
+    (20, (0, 10**400), None, "infinite or too narrow"),
+    # a narrow range whose ints are past the float range: float() of either bound overflows
+    (20, (-10**400, 1 - 10**400), None, "infinite or too narrow"),
+    (20, (0.0, 1.0), ("a", "a"), "names 'a' twice"),
+], ids=["bins-zero", "reversed", "nan", "inf-width", "zero-width", "huge-int", "huge-int-narrow",
+        "pair-repeated"])
+def test_check_settings_refuses_what_cannot_be_audited(bins, value_range, pair, named):
+    with pytest.raises(DataError, match=named):
+        check_settings(bins, value_range, pair)
+    check_settings(bins=3, value_range=(0, 2), group_pair=("a", "b"))  # ints are real bounds
+
+
+def test_histograms_take_the_range_bounds_as_floats():
+    report = audit([0.2, 0.8], ["a", "b"], ["s", "s"], value_range=(0, 1))
+    assert [(type(h.lo), type(h.hi)) for _, _, h in report.histograms] == [(float, float)] * 2
 
 
 def test_histogram_rejects_a_range_or_value_it_cannot_bin():

@@ -241,7 +241,34 @@ def test_audit_group_pair_naming_one_group_twice_exits_one(tmp_path, capsys):
         capsys.readouterr()
         assert _run(["audit", "--estimates", est, "--groups", "g", "--group-pair", pair]) == 1
         out, err = capsys.readouterr()
-        assert out == "" and err == "error: --group-pair names group 'a' twice\n"
+        assert out == "" and err == (
+            "error: group pair names 'a' twice: the two groups compared must differ\n"
+        )
+
+
+@pytest.mark.parametrize("options, named", [
+    (["--bins", "0"], "bins must be >= 1"),
+    (["--bins=-3"], "bins must be >= 1"),
+    (["--range", "1,0"], "reversed"),
+    (["--range", "nan,1"], "reversed"),
+    (["--range", "0,inf"], "infinite or too narrow"),
+    (["--range=-1e308,1e308"], "infinite or too narrow"),
+    (["--range", "0,5e-324"], "infinite or too narrow"),
+    (["--bins", "0", "--estimates", "missing.csv"], "bins must be >= 1"),
+], ids=["bins-zero", "bins-negative", "range-reversed", "range-nan", "range-inf", "range-inf-width",
+        "range-zero-width", "before-reading"])
+def test_audit_bad_bins_or_range_is_a_one_line_usage_error(
+    tmp_path, capsys, options, named
+):
+    est = tmp_path / "est.csv"
+    est.write_text("estimate,g\n0.2,a\n0.4,a\n0.2,b\n0.4,b\n")
+    report = tmp_path / "report.json"
+    # the last --estimates given wins: a missing file is not read before the options are checked
+    assert _run(["audit", "--estimates", est, "--groups", "g", "--report", report, *options]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not report.exists()
 
 
 def test_usage_errors_exit_one(tmp_path, capsys, small_csv):
@@ -577,6 +604,20 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c["audit"].update(group_labels=["a"]), "group_labels"),
     ("heart", lambda c: c["audit"].update(stratum_labels="x"), "stratum_labels"),
     ("heart", lambda c: c["audit"].update(stratum_labels={"0": ["x"]}), "stratum_labels"),
+    ("passnyc", lambda c: c["model"].update(epochs="x"), "epochs"),
+    ("passnyc", lambda c: c["model"].update(learning_rate=-5), "learning_rate"),
+    ("heart", lambda c: c["model"].update(ridge_lambda=1.0), "ridge_lambda"),
+    ("heart", lambda c: c["model"].update(kind="logistc"), "kind"),
+    ("heart", lambda c: c.update(test_fraction=True), "test_fraction"),
+    ("heart", lambda c: c["audit"].update(range=[-1e308, 1e308]), "range"),
+    ("heart", lambda c: c["audit"].update(range=[0, 5e-324]), "range"),
+    ("heart", lambda c: c["audit"].update(bins=10**400), "bins"),
+    ("heart", lambda c: c["model"].update(learning_rate="x"), "learning_rate"),
+    ("heart", lambda c: c["debias"].update(encoder_hidden=0), "encoder_hidden"),
+    ("heart", lambda c: c["debias"].update(adversary_hidden=-2), "adversary_hidden"),
+    ("heart", lambda c: c["audit"].update(groups=["femal", "male"]), "'femal'"),
+    ("passnyc", lambda c: c["audit"].update(groups=["majority black", "majority whit"]),
+     "'majority whit'"),
 ], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
         "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
         "model-learning-rate", "model-ridge-negative", "model-ridge-type",
@@ -590,8 +631,18 @@ def _edited_study(tmp_path, study, edit):
         "audit-bins-string", "audit-bins-zero", "audit-bins-bool", "audit-range-string",
         "audit-range-three", "audit-range-reversed", "audit-range-inf", "audit-range-huge-int",
         "audit-range-text", "audit-group-labels-list", "audit-stratum-labels-string",
-        "audit-stratum-labels-value"])
-def test_run_study_config_typo_exits_two(tmp_path, capsys, study, edit, named):
+        "audit-stratum-labels-value", "ridge-model-epochs", "ridge-model-learning-rate",
+        "logistic-model-ridge-lambda", "model-kind", "test-fraction-bool", "audit-range-inf-width",
+        "audit-range-zero-width", "audit-bins-huge-int", "model-learning-rate-string",
+        "debias-encoder-hidden-zero", "debias-adversary-hidden-negative", "audit-groups-absent",
+        "audit-groups-absent-after-labels"])
+def test_run_study_config_typo_exits_two(tmp_path, capsys, monkeypatch, study, edit, named):
+    import fairprep.studies as studies
+
+    def refuse(*args):
+        raise AssertionError("a config typo reached training")
+
+    monkeypatch.setattr(studies, "train_debiaser", refuse)
     bad = _edited_study(tmp_path, study, edit)
     assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2
     err = capsys.readouterr().err

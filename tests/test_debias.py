@@ -61,6 +61,15 @@ def test_config_rejects_non_finite_and_out_of_range_rates(field, value):
     assert getattr(DebiasConfig(**{field: 1e300}), field) == 1e300  # large but finite is fine
 
 
+@pytest.mark.parametrize("field, value", [
+    ("encoder_hidden", 0), ("adversary_hidden", -2), ("latent_dim", 0), ("batch_size", 0),
+    ("epochs", True), ("adversary_steps", 1.5), ("epochs", None),
+])
+def test_config_rejects_a_size_that_is_not_an_integer_from_one(field, value):
+    with pytest.raises(ValueError, match=field):
+        DebiasConfig(**{field: value})
+
+
 def test_raw_copy_dataset_probe_is_saturated():
     assert leakage_probe(copy_dataset(), "group", seed=1) >= 0.95
 

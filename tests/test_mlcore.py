@@ -481,6 +481,8 @@ def test_logistic_deterministic():
     # an int past the float range: below inf, but training's float arithmetic overflows on it
     pytest.param("learning_rate", 10**400, id="learning_rate-huge-int"),
     pytest.param("l2", 10**400, id="l2-huge-int"),
+    # a value of the wrong type
+    ("learning_rate", "x"), ("learning_rate", True), ("l2", None), ("epochs", True), ("epochs", 2.0),
 ])
 def test_train_config_rejects_non_finite_and_out_of_range_values(field, value):
     with pytest.raises(ValueError, match=field):
@@ -518,7 +520,8 @@ def test_ridge_matches_gradient_descent_oracle():
     assert dist <= 1e-6
 
 
-@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, pytest.param(10**400, id="huge-int")])
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, pytest.param(10**400, id="huge-int"),
+                                 pytest.param(True, id="bool"), pytest.param("x", id="string")])
 def test_linear_rejects_a_non_finite_or_negative_ridge_lambda(lam):
     with pytest.raises(ValueError, match="ridge_lambda"):
         fit_linear(np.array([[0.0], [1.0], [2.0]]), np.array([1.0, 2.0, 3.0]), lam)

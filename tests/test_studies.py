@@ -76,6 +76,22 @@ def test_communities_recipe_drops_sparse_columns():
     assert set(prepared.spec("race_pct_black").categories) == {0, 1}
 
 
+@pytest.mark.parametrize("study, groups", [
+    ("heart", ["female", "mal"]),
+    # passnyc's groups are the labels its group_labels give the 0/1 codes
+    ("passnyc", ["majority black", 1]),
+])
+def test_audit_groups_naming_no_group_fail_before_any_seed_trains(monkeypatch, study, groups):
+    def refuse(*args):
+        raise AssertionError("an audit.groups typo reached training")
+
+    monkeypatch.setattr(studies, "train_debiaser", refuse)
+    cfg = StudyConfig.from_json(STUDY_DIR / f"{study}.json")
+    cfg.audit = dict(cfg.audit, groups=groups)
+    with pytest.raises(SchemaError, match=f"audit.groups {groups[1]!r} is not a group"):
+        run_study(cfg, seeds=[0, 1])
+
+
 def test_checksum_mismatch_is_fatal(tmp_path):
     cfg = StudyConfig.from_json(STUDY_DIR / "heart.json")
     cache = tmp_path / "cache"
