@@ -24,7 +24,12 @@ The runs use the checkout this script sits in:
 - `fairprep audit --report` on a generated 400-row estimates file;
 - `write_csv` of a generated 25 000-row table, above the row count from which
   a forked child writes the back half, with missing cells (one on the middle
-  row) and labels that need quoting;
+  row) and labels that need quoting; that file read back with `load_csv`
+  (its quotes send it to `csv.reader`) and written again;
+- `load_csv` of a generated quote-free 25 000-row file, which it parses in
+  four chunks of `CSV_CHUNK_ROWS` lines, with a blank line on a chunk
+  boundary and an `NA`, an unparseable and a space-padded cell past row
+  8192, written back with `write_csv`;
 - `scripts/make_bundled_data.py`, run in a copy of the checkout: every file
   it writes under `data/`.
 
@@ -154,6 +159,25 @@ def _large_table(n: int = 25_000) -> DataTable:
     })
 
 
+def _chunked_csv(path: Path, n: int = 25_000) -> list:
+    """Write a quote-free CSV of fixed arithmetic (no RNG) for `load_csv` to
+    parse in chunks; return its schema."""
+    rows = ["ratio,root,label,flag"]
+    for i in range(n):
+        ratio = "NA" if i == 9000 else "" if i % 97 == 0 else f"{i / 7 - 1000.0:.6f}"
+        root = "x1" if i == 10_000 else f" {i ** 0.5:.4f} " if i == 11_000 else f"{i ** 0.5 * 1e-3:.5f}"
+        label = "NA" if i == 12_000 else ("plain", "other", "third")[i % 3]
+        rows.append(f"{ratio},{root},{label},{'' if i % 17 == 0 else i // 5 % 2}")
+    rows.insert(8193, "")  # the first line of the second chunk, counting the header apart
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return [
+        ColumnSpec("ratio", "numeric"),
+        ColumnSpec("root", "numeric"),
+        ColumnSpec("label", "categorical", categories=("plain", "other", "third")),
+        ColumnSpec("flag", "binary"),
+    ]
+
+
 def run_all(out: Path) -> None:
     for name in STUDY_NAMES:
         # relative, so the dataset path recorded in each result is the same in every checkout
@@ -184,7 +208,12 @@ def run_all(out: Path) -> None:
     save_debias_model(narrow, cli / "narrow_model.json")
     write_trace_csv(trace, cli / "narrow_trace.csv")
     write_csv(transform(narrow, people), cli / "narrow_debiased.csv")
-    write_csv(_large_table(), out / "large_table.csv")
+    large = _large_table()
+    write_csv(large, out / "large_table.csv")
+    write_csv(load_csv(out / "large_table.csv", large.schema), out / "large_table_reloaded.csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        chunked = Path(tmp) / "chunked.csv"
+        write_csv(load_csv(chunked, _chunked_csv(chunked)), out / "chunked_reloaded.csv")
 
     copy = out / "checkout"
     shutil.copytree(ROOT / "src", copy / "src", ignore=shutil.ignore_patterns("__pycache__"))

@@ -308,8 +308,9 @@ def transform(model: DebiasModel, table: DataTable) -> DataTable:
     """Rewrite a table through the fitted encoder/decoder; schema and rows preserved."""
     _check_schema_match(model, table)
     mat = apply_encoding(table, model.column_map, model.scaler)
-    _, z = mlp_forward(model.encoder, mat.values)
-    _, recon = mlp_forward(model.decoder, z)
+    # only each output is kept, so the encoder's cache is freed before the decoder runs
+    z = mlp_forward(model.encoder, mat.values)[1]
+    recon = mlp_forward(model.decoder, z)[1]
     return decode(DesignMatrix(recon, model.column_map, model.scaler, list(table.schema), mat.carried))
 
 

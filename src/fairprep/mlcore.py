@@ -223,7 +223,14 @@ def mlp_init(dims, hidden_activation="tanh", output_activation="identity", rng=N
 
 
 def mlp_forward(net: Mlp, X):
-    """Forward pass; returns (cache, output). The cache feeds mlp_backward."""
+    """Forward pass; returns (cache, output). The cache feeds mlp_backward.
+
+    The cache is (activations, pre): the input and each layer's output, and
+    each layer's pre-activation. mlp_backward reads `pre` only for relu, so a
+    tanh hidden layer's pre-activation is freed as soon as its tanh is made:
+    its entry in `pre` is the same array as its activation and holds
+    post-activation values.
+    """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.dims[0]:
         raise ValueError(f"input has shape {X.shape}, net expects (n, {net.dims[0]})")
@@ -236,13 +243,17 @@ def mlp_forward(net: Mlp, X):
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
         z = a @ w
         z += b
-        pre.append(z)
-        if l < last:
-            a = np.tanh(z) if net.hidden_activation == "tanh" else np.maximum(z, 0.0)
+        if l < last and net.hidden_activation == "tanh":
+            # a new array, not tanh in place: in place changed the order of training's
+            # allocations and sent glibc's malloc into an mmap/munmap cycle on every step
+            a = z = np.tanh(z)
+        elif l < last:
+            a = np.maximum(z, 0.0)
         elif net.output_activation == "sigmoid":
             a = sigmoid(z)
         else:
             a = z
+        pre.append(z)
         activations.append(a)
     return (activations, pre), activations[-1]
 

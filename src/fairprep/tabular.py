@@ -16,7 +16,7 @@ import io
 import math
 import shutil
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import repeat
 from numbers import Real
 from operator import itemgetter
 from pathlib import Path
@@ -272,6 +272,52 @@ def _reader_columns(text: str, path) -> tuple:
     return header, [list(map(itemgetter(i), rows)) for i in range(len(header))]
 
 
+def _checked_csv(path) -> tuple:
+    """Read a CSV file and make every whole-file check of `read_csv_columns`.
+
+    Returns (header, columns, None) for text that went to `csv.reader`, else
+    (header, None, body): `body` is the list of lines after the header, blank
+    ones included, and each line that is not blank holds exactly one cell per
+    header name.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"no such file: {path}")
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not text:
+        raise DataError(f"{path}: empty file")
+    if any(c in text for c in '"\r\0'):
+        return *_reader_columns(text, path), None
+    body = text.split("\n")
+    if max(map(len, body)) > csv.field_size_limit():
+        return *_reader_columns(text, path), None
+    del text
+    header = body[0].split(",") if body[0] else []  # csv.reader reads a blank line as no cells
+    del body[0]
+    width = len(header)
+    if set(map(str.count, filter(None, body), repeat(","))) - {width - 1}:
+        bad = next(line for line in body if line and line.count(",") != width - 1)
+        raise _ragged(path, bad.count(",") + 1, width)
+    return header, None, body
+
+
+def _take_columns(lines: list, width: int, n=None) -> list:
+    """Cut the first `n` lines (all when None) off `lines`: one list of cell
+    strings per column of those lines that are not blank. The line strings
+    are freed before the cells are sorted into columns."""
+    rows = list(filter(None, lines[:n]))
+    del lines[:n]
+    if not rows:
+        return [[] for _ in range(width)]
+    cells = ",".join(rows).split(",")
+    del rows
+    return [cells[i::width] for i in range(width)]
+
+
 def read_csv_columns(path) -> tuple:
     """The header of a UTF-8 CSV file and one list of cell strings per header column.
 
@@ -285,43 +331,21 @@ def read_csv_columns(path) -> tuple:
     it is cut with plain string splits. Any other text goes to `csv.reader`.
     Both paths give the same cells and the same errors.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    if not text:
-        raise DataError(f"{path}: empty file")
-    if any(c in text for c in '"\r\0'):
-        return _reader_columns(text, path)
-    lines = text.split("\n")
-    if max(map(len, lines)) > csv.field_size_limit():
-        return _reader_columns(text, path)
-    del text
-    header = lines[0].split(",") if lines[0] else []  # csv.reader reads a blank line as no cells
-    body = list(filter(None, islice(lines, 1, None)))
-    del lines
-    width = len(header)
-    if set(map(str.count, body, repeat(","))) - {width - 1}:
-        bad = next(line for line in body if line.count(",") != width - 1)
-        raise _ragged(path, bad.count(",") + 1, width)
-    if not body:
-        return header, [[] for _ in header]
-    cells = ",".join(body).split(",")
-    del body
-    return header, [cells[i::width] for i in range(width)]
+    header, columns, body = _checked_csv(path)
+    return header, columns if body is None else _take_columns(body, len(header))
 
 
 def load_csv(path, schema) -> DataTable:
     """Read a comma-separated, header-first file into a DataTable.
 
-    The header must contain exactly the schema's names (any order).
-    Unparseable cells become missing rather than failing the load.
+    The header must contain exactly the schema's names (any order), and a
+    categorical column's categories must be strings, as every CSV cell is.
+    Unparseable cells become missing rather than failing the load. The file
+    is checked as `read_csv_columns` checks it; then a file that takes the
+    plain-split path is cut and parsed CSV_CHUNK_ROWS lines at a time, so the
+    cell strings of the whole table never exist at once.
     """
-    header, columns = read_csv_columns(path)
+    header, columns, body = _checked_csv(path)
     if len(set(header)) != len(header):
         raise SchemaError(f"{path}: duplicate header names")
     names = [s.name for s in schema]
@@ -331,8 +355,22 @@ def load_csv(path, schema) -> DataTable:
         raise SchemaError(
             f"{path}: header does not match schema (missing {missing}, unexpected {extra})"
         )
-    raw = dict(zip(header, columns))
-    return DataTable.from_arrays(schema, {s.name: _parse_column(s, raw[s.name]) for s in schema})
+    for s in schema:
+        if s.kind == "categorical" and not all(isinstance(c, str) for c in s.categories):
+            raise SchemaError(f"column {s.name!r}: categories must be strings to be read from CSV")
+    if body is None:
+        chunks = [columns]
+    else:
+        # each chunk's lines are cut off the front of `body`, so they are freed as the arrays grow
+        chunks = (_take_columns(body, len(header), CSV_CHUNK_ROWS)
+                  for _ in range(0, len(body), CSV_CHUNK_ROWS))
+    # an empty piece first, so a file with no data rows gives 0-row arrays of the right dtype
+    pieces = {s.name: [_parse_column(s, [])] for s in schema}
+    for chunk in chunks:
+        raw = dict(zip(header, chunk))
+        for s in schema:
+            pieces[s.name].append(_parse_column(s, raw[s.name]))
+    return DataTable.from_arrays(schema, {s.name: np.concatenate(pieces.pop(s.name)) for s in schema})
 
 
 def _field(text: str) -> str:
@@ -351,7 +389,8 @@ def _cell_texts(spec: ColumnSpec, arr) -> list:
     return np.array([_field(str(c)) for c in spec.categories] + [""], dtype=object)[arr].tolist()
 
 
-#: rows formatted and written at a time, so no text of the whole table is built at once
+#: rows parsed by `load_csv`, or formatted and written by `write_csv`, at a
+#: time, so neither the cell strings nor the text of the whole table exist at once
 CSV_CHUNK_ROWS = 8192
 
 #: rows from which a forked child writes the back half of a CSV file. On a

@@ -218,6 +218,20 @@ def test_non_utf8_input_exits_two_naming_the_file(tmp_path, capsys, small_csv):
     assert not (tmp_path / "out.csv").exists() and not (tmp_path / "study").exists()
 
 
+def test_schema_with_categories_that_are_not_strings_exits_two_naming_the_column(tmp_path, capsys):
+    data = tmp_path / "input.csv"
+    data.write_text("x,grp\n1,a\n2,b\n1,a\n")
+    schema = tmp_path / "schema.json"
+    schema.write_text(json.dumps([{"name": "x", "kind": "categorical", "categories": [1, 2]},
+                                  {"name": "grp", "kind": "categorical", "categories": ["a", "b"]}]))
+    argv = ["debias", "--input", data, "--schema", schema, "--protected", "grp",
+            "--output", tmp_path / "out.csv", "--epochs", 1]
+    assert _run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "data error: column 'x': categories must be strings to be read from CSV\n"
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_field_over_the_csv_size_limit_exits_two_naming_the_file(tmp_path, capsys, small_csv):
     big = tmp_path / "big.csv"
     big.write_text("x,y\n" + "a" * 200_000 + ",1\n")

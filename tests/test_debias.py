@@ -1,6 +1,8 @@
+import gc
 import json
 import math
 import statistics
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -141,6 +143,38 @@ def test_transform_deterministic():
     assert out1.columns == out2.columns
     # and transform itself has no sampling
     assert transform(m1, table).columns == out1.columns
+
+
+def test_transform_keeps_no_training_cache():
+    """transform's allocation peak stays under the design matrix, one hidden
+    layer's pre-activation and tanh, the latent code and the reconstruction,
+    with 1 MB to spare for small objects: the encoder's cache is freed before
+    the decoder runs, and a tanh layer keeps no pre-activation."""
+    n = 20_000
+    rng = derive_rng(0, "transform-memory")
+    schema = [ColumnSpec(f"x{i}", "numeric") for i in range(7)] + [
+        ColumnSpec("region", "categorical", categories=("north", "south", "east", "west")),
+        ColumnSpec("plan", "binary"),
+        ColumnSpec("group", "binary", "protected"),
+        ColumnSpec("outcome", "binary", "target"),
+    ]
+    arrays = {f"x{i}": rng.standard_normal(n) for i in range(7)}
+    arrays.update({name: rng.integers(0, k, size=n) for name, k in
+                   (("region", 4), ("plan", 2), ("group", 2), ("outcome", 2))})
+    table = DataTable.from_arrays(schema, arrays)
+    model, _ = train_debiaser(table.take_rows(range(300)), DebiasConfig(epochs=1, seed=0))
+    d, hidden, latent = model.encoder.dims
+    assert (d, hidden, latent) == (13, 26, 7) and model.decoder.dims == (latent, hidden, d)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = transform(model, table)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert out.n_rows == n
+    assert peak < 8 * n * (2 * d + 2 * hidden + latent) + 1_000_000
 
 
 def test_transform_rejects_schema_mismatch():

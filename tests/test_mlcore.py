@@ -125,6 +125,20 @@ def test_forward_matches_hand_computation():
     assert np.allclose(out, expected, atol=1e-12)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "relu"])
+def test_forward_cache_keeps_one_array_per_tanh_layer(activation):
+    net = mlp_init([3, 4, 5, 2], hidden_activation=activation, rng=derive_rng(6, "cache"))
+    X = derive_rng(7, "cache").standard_normal((6, 3))
+    (activations, pre), out = mlp_forward(net, X)
+    z = X @ net.weights[0] + net.biases[0]
+    if activation == "tanh":  # the pre-activation is dropped: `pre` holds the tanh itself
+        assert pre[0] is activations[1] and pre[1] is activations[2]
+        assert np.array_equal(pre[0], np.tanh(z))
+    else:  # relu's backward reads its pre-activation
+        assert np.array_equal(pre[0], z) and pre[0] is not activations[1]
+    assert pre[2] is out
+
+
 def test_forward_rejects_bad_input():
     net = mlp_init([3, 2], rng=derive_rng(0, "t"))
     with pytest.raises(ValueError):
