@@ -256,26 +256,29 @@ def _fmt(v: float) -> str:
     return f"{v:.4f}"
 
 
-def render_bias_table(table: BiasTable) -> str:
-    """Aligned-text table: one column per stratum, the classic mu/sigma/score rows."""
-    labels = [
-        f"mu {table.group_a}",
-        f"mu {table.group_b}",
-        "mu diff",
-        f"sigma {table.group_a}",
-        f"sigma {table.group_b}",
-        "sigma average",
-        "mu diff / sigma average",
+def _bias_rows(table: BiasTable) -> list:
+    """The classic mu/sigma/score rows: (label, one value per stratum), shared by both exports."""
+    a, b, rows = table.group_a, table.group_b, table.rows
+    return [
+        (f"mu {a}", [r.a.mu for r in rows]),
+        (f"mu {b}", [r.b.mu for r in rows]),
+        ("mu diff", [r.mu_diff for r in rows]),
+        (f"sigma {a}", [r.a.sigma for r in rows]),
+        (f"sigma {b}", [r.b.sigma for r in rows]),
+        ("sigma average", [r.sigma_avg for r in rows]),
+        ("mu diff / sigma average", [r.score for r in rows]),
     ]
-    cols = {}
-    for r in table.rows:
-        cols[str(r.stratum)] = [r.a.mu, r.b.mu, r.mu_diff, r.a.sigma, r.b.sigma, r.sigma_avg, r.score]
-    head_w = max(len(l) for l in labels)
-    col_names = list(cols)
+
+
+def render_bias_table(table: BiasTable) -> str:
+    """Aligned-text table: one column per stratum, one line per row of `_bias_rows`."""
+    rows = _bias_rows(table)
+    head_w = max(len(label) for label, _ in rows)
+    col_names = [str(r.stratum) for r in table.rows]
     widths = [max(len(c), 8) for c in col_names]
     lines = [" " * head_w + "  " + "  ".join(c.rjust(w) for c, w in zip(col_names, widths))]
-    for i, label in enumerate(labels):
-        cells = [_fmt(cols[c][i]).rjust(w) for c, w in zip(col_names, widths)]
+    for label, vals in rows:
+        cells = [_fmt(v).rjust(w) for v, w in zip(vals, widths)]
         lines.append(label.ljust(head_w) + "  " + "  ".join(cells))
     return "\n".join(lines) + "\n"
 
@@ -283,18 +286,8 @@ def render_bias_table(table: BiasTable) -> str:
 def bias_table_csv(table: BiasTable) -> str:
     sink = io.StringIO()
     w = csv.writer(sink, lineterminator="\n")
-    strata = [str(r.stratum) for r in table.rows]
-    w.writerow(["row"] + strata)
-    grid = {
-        f"mu {table.group_a}": [r.a.mu for r in table.rows],
-        f"mu {table.group_b}": [r.b.mu for r in table.rows],
-        "mu diff": [r.mu_diff for r in table.rows],
-        f"sigma {table.group_a}": [r.a.sigma for r in table.rows],
-        f"sigma {table.group_b}": [r.b.sigma for r in table.rows],
-        "sigma average": [r.sigma_avg for r in table.rows],
-        "mu diff / sigma average": [r.score for r in table.rows],
-    }
-    for label, vals in grid.items():
+    w.writerow(["row"] + [str(r.stratum) for r in table.rows])
+    for label, vals in _bias_rows(table):
         w.writerow([label] + [_fmt(v) for v in vals])
     return sink.getvalue()
 

@@ -41,6 +41,7 @@ from .mlcore import (
     adam_step,
     check_count,
     check_finite,
+    check_seed,
     derive_rng,
     mlp_backward,
     mlp_forward,
@@ -81,6 +82,7 @@ class DebiasConfig:
                 check_count(name, getattr(self, name))
         check_finite("adversary_weight", self.adversary_weight)
         check_finite("learning_rate", self.learning_rate, positive=True)
+        check_seed(self.seed)
 
 
 @dataclass
@@ -341,7 +343,7 @@ def leakage_probe(table: DataTable, protected: str, seed: int) -> float:
         y_train, y_test = y[train_idx], y[test_idx]
         if np.unique(y_train).size < 2 or np.unique(y_test).size < 2:
             raise DataError(f"probe split left a single class for category {spec.categories[positive]!r}")
-        probe = mlcore.fit_logistic(X_train, y_train, TrainConfig(seed=seed))
+        probe = mlcore.fit_logistic(X_train, y_train, TrainConfig())
         aucs.append(mlcore.auc(mlcore.predict(probe, X_test), y_test))
     return float(np.mean(aucs))
 

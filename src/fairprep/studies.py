@@ -34,14 +34,9 @@ from .tabular import (
     split_indices,
 )
 
-# the keys a study config may carry; anything else is a typo and fails the load
-STUDY_KEYS = frozenset({
-    "name", "source", "schema", "transforms", "protected", "target", "model", "debias",
-    "seeds", "audit", "fit_debias_on", "test_fraction",
-})
-# the keys each model kind reads: every TrainConfig field but the seed, or the ridge penalty
+# the keys each model kind reads: every TrainConfig field, or the ridge penalty
 MODEL_KEYS = {
-    "logistic": frozenset({"kind"} | {f.name for f in fields(TrainConfig)} - {"seed"}),
+    "logistic": frozenset({"kind"} | {f.name for f in fields(TrainConfig)}),
     "linear": frozenset({"kind", "ridge_lambda"}),
     "ridge": frozenset({"kind", "ridge_lambda"}),
 }
@@ -153,7 +148,7 @@ class StudyConfig:
         _check_block(self.model, MODEL_KEYS[kind], "model")
         try:
             if kind == "logistic":
-                _train_config(self.model, seed=0)
+                _train_config(self.model)
             else:
                 mlcore.check_ridge_lambda(_ridge_lambda(self.model))
         except ValueError as exc:
@@ -191,6 +186,10 @@ class StudyConfig:
 
     def debias_config(self, seed: int) -> DebiasConfig:
         return DebiasConfig(seed=seed, **self.debias)
+
+
+# the keys a study config may carry, one per field; anything else is a typo and fails the load
+STUDY_KEYS = frozenset(f.name for f in fields(StudyConfig)) - {"base_dir", "raw"}
 
 
 def _sha256(path: Path) -> str:
@@ -259,9 +258,9 @@ def _group_of(cfg: StudyConfig):
     return lambda cell: labels.get(str(cell), cell)
 
 
-def _train_config(model: dict, seed: int) -> TrainConfig:
+def _train_config(model: dict) -> TrainConfig:
     """A logistic model block's TrainConfig; a key the block leaves out keeps its default."""
-    return TrainConfig(seed=seed, **{k: v for k, v in model.items() if k != "kind"})
+    return TrainConfig(**{k: v for k, v in model.items() if k != "kind"})
 
 
 def _ridge_lambda(model: dict):
@@ -269,9 +268,9 @@ def _ridge_lambda(model: dict):
     return model.get("ridge_lambda", 1.0 if model["kind"] == "ridge" else 0.0)
 
 
-def _fit_model(cfg: StudyConfig, X_train, y_train, seed: int):
+def _fit_model(cfg: StudyConfig, X_train, y_train):
     if cfg.model["kind"] == "logistic":
-        return mlcore.fit_logistic(X_train, y_train, _train_config(cfg.model, seed))
+        return mlcore.fit_logistic(X_train, y_train, _train_config(cfg.model))
     return mlcore.fit_linear(X_train, y_train, float(_ridge_lambda(cfg.model)))
 
 
@@ -282,7 +281,7 @@ def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.Audi
     if table.missing(cfg.target).any():
         raise DataError(f"target column {cfg.target!r} has missing cells")
     y = table.array(cfg.target).astype(float)  # binary codes are the 0/1 labels
-    model = _fit_model(cfg, X[train_idx], y[train_idx], seed)
+    model = _fit_model(cfg, X[train_idx], y[train_idx])
     estimates = mlcore.predict(model, X)
 
     classification = cfg.model["kind"] == "logistic"

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mlcore, parallel
 from .debias import DebiasConfig, leakage_probe, train_debiaser, transform
-from .mlcore import TrainConfig, derive_rng, sigmoid
+from .mlcore import TrainConfig, check_count, check_seed, derive_rng, sigmoid
 from .tabular import ColumnSpec, DataError, DataTable, encode_features, split_indices
 from . import audit as audit_mod
 
@@ -49,8 +49,10 @@ class SyntheticSpec:
             raise ValueError("bias_strength must be in [0,1)")
         if not 0.0 <= self.proxy_strength <= 1.0:
             raise ValueError("proxy_strength must be in [0,1]")
-        if self.n_features < 1 or self.n_proxies < 0 or self.n < 1:
-            raise ValueError("need n >= 1, n_features >= 1, n_proxies >= 0")
+        check_count("n", self.n)
+        check_count("n_features", self.n_features)
+        check_count("n_proxies", self.n_proxies, minimum=0)
+        check_seed(self.seed)
 
 
 def make_synthetic(spec: SyntheticSpec):
@@ -164,7 +166,7 @@ def synth_check(
             adversary_hidden=max(16, 2 * spec.n_features),
         )
     if model_cfg is None:
-        model_cfg = TrainConfig(seed=spec.seed)
+        model_cfg = TrainConfig()
 
     # With two usable CPUs and a large enough table, one forked child trains and rewrites
     # while this process probes and fits the raw table, then a second probes the rewritten

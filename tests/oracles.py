@@ -363,7 +363,7 @@ def reference_sigmoid(z):
 
 
 def reference_fit_logistic(X, y, cfg):
-    """(weights, intercept, loss_history) of fairprep's gradient-descent logistic fit.
+    """(weights, intercept, per-epoch losses) of fairprep's gradient-descent logistic fit.
 
     Each epoch's loss is y*log(pc) + (1-y)*log(1-pc) with both logs taken on
     every row, the sigmoid is `reference_sigmoid`, and p - y is formed anew

@@ -327,6 +327,16 @@ def test_render_and_csv_contain_all_rows():
     assert len(csv_text.splitlines()) == 8
 
 
+def test_render_keeps_a_column_for_each_stratum_even_when_two_print_alike():
+    # strata 1 and "1" print the same; a table keyed by the printed name would keep one
+    report = audit([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8], [0, 1] * 4, [1] * 4 + ["1"] * 4,
+                   group_pair=(0, 1))
+    text_rows = [line.split()[-2:] for line in render_bias_table(report.bias_table).splitlines()]
+    csv_rows = [line.split(",")[-2:] for line in bias_table_csv(report.bias_table).splitlines()]
+    assert text_rows == csv_rows
+    assert text_rows[1] == ["0.2000", "0.6000"]  # mu 0 of each stratum
+
+
 def test_report_jsonable_is_json_safe():
     import json
 

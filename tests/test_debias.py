@@ -72,6 +72,14 @@ def test_config_rejects_a_size_that_is_not_an_integer_from_one(field, value):
         DebiasConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", [1.5, "x", "3", True, None])
+def test_config_rejects_a_seed_that_is_not_an_integer(value):
+    # int() in derive_rng would train 1.5 as seed 1, and fail on "x" only once training starts
+    with pytest.raises(ValueError, match="need an integer seed"):
+        DebiasConfig(seed=value)
+    assert DebiasConfig(seed=-3).seed == -3  # any sign, as `--seed` takes
+
+
 def test_raw_copy_dataset_probe_is_saturated():
     assert leakage_probe(copy_dataset(), "group", seed=1) >= 0.95
 

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -414,9 +415,13 @@ def test_logistic_loss_non_increasing_at_small_lr():
     rng = derive_rng(21, "mono")
     X = rng.standard_normal((40, 3))
     y = (rng.random(40) < 0.5).astype(float)
-    model = fit_logistic(X, y, TrainConfig(learning_rate=1e-3, epochs=300))
-    diffs = np.diff(model.loss_history)
-    assert np.all(diffs <= 1e-12)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=300)
+    # fit_logistic forms no loss; the reference records one per epoch of the same fit
+    w_ref, b_ref, history_ref = oracles.reference_fit_logistic(X, y, cfg)
+    assert np.all(np.diff(history_ref) <= 1e-12)
+    model = fit_logistic(X, y, cfg)
+    assert np.array_equal(_bits(model.weights), _bits(w_ref))
+    assert _bits(model.intercept) == _bits(b_ref)
 
 
 def test_logistic_rejects_single_class_and_bad_labels():
@@ -455,7 +460,7 @@ def test_property_logistic_fit_matches_the_two_log_reference_bit_for_bit(
     cfg = TrainConfig(learning_rate=10.0**log_lr, epochs=epochs, l2=l2)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            w_ref, b_ref, history_ref = oracles.reference_fit_logistic(X, y, cfg)
+            w_ref, b_ref, _ = oracles.reference_fit_logistic(X, y, cfg)
         except TrainingDivergedError as ref_err:
             with pytest.raises(TrainingDivergedError) as err:
                 fit_logistic(X, y, cfg)
@@ -464,7 +469,6 @@ def test_property_logistic_fit_matches_the_two_log_reference_bit_for_bit(
         model = fit_logistic(X, y, cfg)
     assert np.array_equal(_bits(model.weights), _bits(w_ref))
     assert _bits(model.intercept) == _bits(b_ref)
-    assert np.array_equal(_bits(model.loss_history), _bits(history_ref))
 
 
 def test_logistic_divergence_epoch_matches_the_reference():
@@ -477,6 +481,58 @@ def test_logistic_divergence_epoch_matches_the_reference():
         with pytest.raises(TrainingDivergedError) as got:
             fit_logistic(X, y, cfg)
     assert got.value.epoch == want.value.epoch == 2
+
+
+def _diverges_at(fit, X, y, cfg):
+    """The epoch `fit` raises TrainingDivergedError at, or None with the (weights, intercept) it returns."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            out = fit(X, y, cfg)
+        except TrainingDivergedError as err:
+            return err.epoch, None
+    return None, out
+
+
+# Each case is a way for the loss to stop being finite, or for a term of it to turn
+# infinite while the loss stays finite: fit_logistic reads divergence from the
+# intercept gradient and the penalty, and must raise exactly where the loss would.
+_DIVERGENCE_CASES = {
+    # a NaN estimate while the penalty stays finite: a NaN cell, or an infinite cell
+    # times a zero weight, makes the estimate of its row NaN at epoch 0
+    "nan-cell": ([[1.0], [math.nan], [2.0]], [0.0, 1.0, 1.0], TrainConfig(epochs=5), 0),
+    "inf-cell-times-zero": ([[1.0, math.inf], [2.0, 0.0], [0.0, 1.0]], [0.0, 1.0, 1.0],
+                            TrainConfig(epochs=5, l2=0.0), 0),
+    # l2 > 0 and w still finite, but l2*||w||^2 overflows; every estimate is 0 or 1
+    "penalty-overflow": ([[1e3], [-1e3], [1e3], [-1e3]], [1.0, 0.0, 1.0, 0.0],
+                         TrainConfig(learning_rate=1e150, epochs=50, l2=1.0), 2),
+    # l2 = 0 with an infinite weight: the penalty is 0 * inf = NaN, the estimates all 1
+    "zero-l2-infinite-weight": ([[1e10], [2e10]], [0.0, 1.0],
+                                TrainConfig(learning_rate=1e300, epochs=5, l2=0.0), 1),
+    # the intercept reaches +inf with every weight finite: each estimate is 1 and its
+    # clipped log-likelihood finite, so the loss stays finite and neither side raises
+    "infinite-intercept": ([[0.0, 2.0], [1.0, 1.0], [-1.0, 1.0]], [0.0, 1.0, 1.0],
+                           TrainConfig(learning_rate=1.7e308, epochs=7, l2=0.0), None),
+}
+
+
+@pytest.mark.parametrize("case", _DIVERGENCE_CASES, ids=str)
+def test_logistic_divergence_rule_matches_the_reference_loss(case):
+    X, y, cfg, epoch = _DIVERGENCE_CASES[case]
+    X, y = np.array(X), np.array(y)
+    want, ref = _diverges_at(oracles.reference_fit_logistic, X, y, cfg)
+    got, model = _diverges_at(fit_logistic, X, y, cfg)
+    assert got == want == epoch
+    if epoch is None:
+        assert model.intercept == math.inf and np.isfinite(model.weights).all()
+        assert np.array_equal(_bits(model.weights), _bits(ref[0]))
+        return
+    # the state the raising epoch starts from has one cause only: a NaN estimate or the penalty
+    start = LinearModel(np.zeros(X.shape[1]), 0.0, "logistic")
+    if epoch:
+        start = _diverges_at(fit_logistic, X, y, replace(cfg, epochs=epoch))[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        nan_estimate = np.isnan(predict(start, X)).any()
+        assert nan_estimate == math.isfinite(cfg.l2 * start.weights @ start.weights)
 
 
 def test_logistic_deterministic():

@@ -24,6 +24,23 @@ def test_spec_validation():
         make_synthetic(SyntheticSpec(n=50, prevalence=0.1))
 
 
+@pytest.mark.parametrize("field, value", [
+    # int() in derive_rng would cut 1.5 or "3" to another seed's table
+    ("seed", 1.5), ("seed", "3"), ("seed", True), ("seed", None),
+    # a size that is not a whole count would end in a numpy TypeError
+    ("n_features", 2.5), ("n_proxies", 1.5), ("n", 2000.0), ("n", 0),
+    ("n_features", 0), ("n_proxies", -1), ("n_proxies", False),
+])
+def test_spec_rejects_a_seed_or_size_that_is_not_an_integer(field, value):
+    with pytest.raises(ValueError, match=field):
+        SyntheticSpec(**{field: value})
+
+
+def test_spec_takes_a_negative_seed_and_no_proxies():
+    table, _ = make_synthetic(SyntheticSpec(n=100, n_proxies=0, seed=-7))
+    assert not [name for name in table.column_names if name.startswith("proxy")]
+
+
 def test_no_bias_means_observed_equals_fair():
     spec = SyntheticSpec(n=600, bias_strength=0.0, proxy_strength=0.0, seed=3)
     table, fair = make_synthetic(spec)

@@ -870,26 +870,40 @@ def test_decode_dimension_mismatch(toy_table):
 def _tables(draw):
     n = draw(st.integers(2, 12))
     cats = ("u", "v", "w")
-    x = draw(st.lists(st.floats(-50, 50), min_size=n, max_size=n))
-    c = draw(st.lists(st.sampled_from(cats), min_size=n, max_size=n))
-    g = draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+
+    def cells(values):  # None is a missing cell
+        return draw(st.lists(st.none() | values, min_size=n, max_size=n))
+
+    x = cells(st.floats(-50, 50))
+    x[draw(st.integers(0, n - 1))] = draw(st.floats(-50, 50))  # the scaler needs one observed cell
     schema = [
         ColumnSpec("x", "numeric", "feature"),
         ColumnSpec("c", "categorical", "feature", cats),
+        ColumnSpec("f", "binary", "feature"),
         ColumnSpec("g", "binary", "protected"),
+        ColumnSpec("t", "binary", "target"),
     ]
-    return DataTable(schema, {"x": x, "c": c, "g": g})
+    columns = {"x": x, "c": cells(st.sampled_from(cats))}
+    columns.update({name: cells(st.sampled_from((0, 1))) for name in ("f", "g", "t")})
+    return DataTable(schema, columns)
 
 
-@settings(max_examples=60)
+@settings(max_examples=100)
 @given(_tables())
 def test_property_round_trip_and_one_hot(table):
     mat = encode(table)
-    assert np.allclose(mat.values[:, 1:4].sum(axis=1), 1.0)
+    for source in ("c", "f"):  # each row sets one column of each one-hot group, a missing cell its own
+        js = [j for j, dc in enumerate(mat.column_map) if dc.source == source]
+        assert np.array_equal(mat.values[:, js].sum(axis=1), np.ones(table.n_rows))
     back = decode(mat)
-    assert np.allclose(back.column("x"), table.column("x"), atol=1e-9)
-    assert back.column("c") == table.column("c")
-    assert back.column("g") == table.column("g")
+    x, missing = table.array("x"), table.missing("x")
+    assert np.allclose(back.array("x")[~missing], x[~missing], rtol=0.0, atol=1e-9)
+    mean = mat.scaler[mat.feature_names.index("x")][0]
+    assert mean == np.mean(x[~missing])
+    assert np.array_equal(back.array("x")[missing], np.full(missing.sum(), mean))
+    # codes, -1 for a missing cell, come back exactly; the protected g and target t are carried
+    for name in ("c", "f", "g", "t"):
+        assert np.array_equal(back.array(name), table.array(name))
 
 
 # ---------------------------------------------------------------------------
