@@ -35,8 +35,6 @@ from .mlcore import (
     Mlp,
     TrainConfig,
     TrainingDivergedError,
-    _row_max,
-    _row_sum,
     adam_init,
     adam_step,
     check_count,
@@ -47,6 +45,7 @@ from .mlcore import (
     mlp_forward,
     mlp_init,
     softmax_cross_entropy,
+    softmax_cross_entropy_grad,
     squared_error,
 )
 from .tabular import (
@@ -129,25 +128,6 @@ def _summed_loss(pred, target, blocks):
     return loss, grad
 
 
-def _heads_grad(logits, onehot, heads):
-    """d(summed softmax cross-entropy)/d logits over the heads, without the loss value.
-
-    Bit for bit the gradient `_summed_loss` returns for the same heads: the
-    same operations in the same order, done in place in each head's block of
-    the result. The heads must be column slices that cover every column.
-    """
-    n = logits.shape[0]
-    grad = np.empty_like(logits)
-    for cols, _ in heads:
-        z, g = logits[:, cols], grad[:, cols]
-        np.subtract(z, _row_max(z), out=g)
-        np.exp(g, out=g)
-        g /= _row_sum(g)
-        g -= onehot[:, cols]
-        g /= n
-    return grad
-
-
 def _reconstruction_blocks(column_map) -> tuple:
     """Squared error on all numeric design columns, softmax cross-entropy per one-hot group.
 
@@ -223,11 +203,9 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
     adv_hidden = cfg.adversary_hidden if cfg.adversary_hidden is not None else latent
     n_classes = targets.shape[1]
 
-    encoder = mlp_init([d, hidden, latent], "tanh", "identity", derive_rng(cfg.seed, "encoder"))
-    decoder = mlp_init([latent, hidden, d], "tanh", "identity", derive_rng(cfg.seed, "decoder"))
-    adversary = mlp_init(
-        [latent, adv_hidden, n_classes], "tanh", "identity", derive_rng(cfg.seed, "adversary")
-    )
+    encoder = mlp_init([d, hidden, latent], derive_rng(cfg.seed, "encoder"))
+    decoder = mlp_init([latent, hidden, d], derive_rng(cfg.seed, "decoder"))
+    adversary = mlp_init([latent, adv_hidden, n_classes], derive_rng(cfg.seed, "adversary"))
     st_enc, st_dec, st_adv = adam_init(encoder), adam_init(decoder), adam_init(adversary)
     recon_blocks = _reconstruction_blocks(mat.column_map)
     shuffler = derive_rng(cfg.seed, "batches")
@@ -254,7 +232,9 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
                     break
                 for _ in range(cfg.adversary_steps):
                     cache_a, logits = mlp_forward(adversary, z)
-                    g_adv = _heads_grad(logits, Yb, adv_blocks)
+                    g_adv = np.empty_like(logits)
+                    for cols, _ in adv_blocks:  # the gradient alone: no loss value is read here
+                        softmax_cross_entropy_grad(logits[:, cols], Yb[:, cols], g_adv[:, cols])
                     grads_a, _ = mlp_backward(adversary, cache_a, g_adv, input_grad=False)
                     adam_step(adversary, grads_a, st_adv, cfg.learning_rate)
 
@@ -352,24 +332,30 @@ def leakage_probe(table: DataTable, protected: str, seed: int) -> float:
 # persistence
 
 
+# Fixed values of the model file format: every `Mlp` is tanh-hidden, identity-output.
+_NET_ACTIVATIONS = {"hidden_activation": "tanh", "output_activation": "identity"}
+
+
 def _net_jsonable(net: Mlp) -> dict:
     return {
         "dims": list(net.dims),
-        "hidden_activation": net.hidden_activation,
-        "output_activation": net.output_activation,
+        **_NET_ACTIVATIONS,
         "weights": [w.ravel().tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
     }
 
 
 def _net_from_jsonable(data) -> Mlp:
+    for key, value in _NET_ACTIVATIONS.items():
+        if data.get(key) != value:
+            raise SchemaError(f"model net {key!r} must be {value!r}, got {data.get(key)!r}")
     dims = tuple(data["dims"])
     weights = [
         np.asarray(flat, dtype=float).reshape(dims[i], dims[i + 1])
         for i, flat in enumerate(data["weights"])
     ]
     biases = [np.asarray(b, dtype=float) for b in data["biases"]]
-    return Mlp(dims, weights, biases, data["hidden_activation"], data["output_activation"])
+    return Mlp(dims, weights, biases)
 
 
 def save_debias_model(model: DebiasModel, path) -> None:

@@ -20,12 +20,6 @@ from numbers import Integral, Real
 
 import numpy as np
 
-HIDDEN_ACTIVATIONS = ("relu", "tanh")
-OUTPUT_ACTIVATIONS = ("identity", "sigmoid")
-
-PROB_CLIP = 1e-12
-
-
 class TrainingDivergedError(RuntimeError):
     """Raised when a training loss stops being finite; carries the epoch index."""
 
@@ -127,37 +121,39 @@ def squared_error(pred, target):
     return float(np.sum(diff * diff) / n), 2.0 * diff / n
 
 
-def binary_cross_entropy(probs, y):
-    """Mean cross-entropy of probabilities against 0/1 labels.
+def softmax_cross_entropy_grad(logits, onehot, out):
+    """d(mean softmax cross-entropy)/d logits, written into `out`.
 
-    Probabilities are clamped to [1e-12, 1-1e-12] inside the loss only; the
-    gradient is with respect to the (clamped) probabilities, for use behind a
-    sigmoid output.
+    `out` is a float array of the shape of `logits`; it may be a column-slice
+    view of a larger array, as when one gradient array holds several softmax
+    heads. The steps run in one fixed order (subtract the row max, exp, divide
+    by the row sum, subtract the one-hot, divide by n), so every caller gets
+    the same bits. Returns the row max and the row sum of the exponentials,
+    from which `softmax_cross_entropy` forms the loss.
     """
-    probs = np.asarray(probs, dtype=float)
-    y = np.asarray(y, dtype=float).reshape(probs.shape)
-    n = probs.shape[0]
-    p = np.clip(probs, PROB_CLIP, 1.0 - PROB_CLIP)
-    loss = -np.sum(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)) / n
-    grad = (p - y) / (p * (1.0 - p)) / n
-    return float(loss), grad
+    m = _row_max(logits)
+    np.subtract(logits, m, out=out)
+    np.exp(out, out=out)
+    s = _row_sum(out)
+    out /= s
+    out -= onehot
+    out /= logits.shape[0]
+    return m, s
 
 
 def softmax_cross_entropy(logits, onehot):
     """Fused softmax + cross-entropy on logits (log-sum-exp form).
 
     The row max and the exponentials are computed once and shared by the loss
-    and the gradient. Returns (loss, gradient w.r.t. logits); pair with an identity-output
-    network instead of an explicit softmax output.
+    and the gradient. Returns (loss, gradient w.r.t. logits); pair with the
+    identity output of an `Mlp` instead of an explicit softmax output.
     """
     logits = np.asarray(logits, dtype=float)
     onehot = np.asarray(onehot, dtype=float)
-    n = logits.shape[0]
-    m = _row_max(logits)
-    e = np.exp(logits - m)
-    s = _row_sum(e)
-    loss = float(np.sum((m + np.log(s))[:, 0] - _row_sum(logits * onehot)[:, 0]) / n)
-    return loss, (e / s - onehot) / n
+    grad = np.empty_like(logits)
+    m, s = softmax_cross_entropy_grad(logits, onehot, grad)
+    loss = float(np.sum((m + np.log(s))[:, 0] - _row_sum(logits * onehot)[:, 0]) / logits.shape[0])
+    return loss, grad
 
 
 # ---------------------------------------------------------------------------
@@ -166,27 +162,21 @@ def softmax_cross_entropy(logits, onehot):
 
 @dataclass
 class Mlp:
-    """Fully connected net; weights[l] has shape (dims[l], dims[l+1]).
+    """Fully connected net with tanh hidden layers and an identity (logit)
+    output; weights[l] has shape (dims[l], dims[l+1]).
 
     All parameters live in one float64 vector, `params`, in layer order
     weights[0], biases[0], weights[1], ...; `weights` and `biases` are views
     into it, so an update of `params` is an update of every layer. The given
-    arrays are copied in, and each must have its layer's shape. The activation
-    names must be in HIDDEN_ACTIVATIONS and OUTPUT_ACTIVATIONS.
+    arrays are copied in, and each must have its layer's shape.
     """
 
     dims: tuple
     weights: list
     biases: list
-    hidden_activation: str = "tanh"
-    output_activation: str = "identity"
     params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.hidden_activation not in HIDDEN_ACTIVATIONS:
-            raise ValueError(f"unknown hidden activation {self.hidden_activation!r}")
-        if self.output_activation not in OUTPUT_ACTIVATIONS:
-            raise ValueError(f"unknown output activation {self.output_activation!r}")
         n_layers = len(self.dims) - 1
         if len(self.weights) != n_layers or len(self.biases) != n_layers:
             raise ValueError(f"dims {tuple(self.dims)} need {n_layers} weight and bias arrays, "
@@ -207,7 +197,7 @@ class Mlp:
         self.weights, self.biases = views[0::2], views[1::2]
 
 
-def mlp_init(dims, hidden_activation="tanh", output_activation="identity", rng=None) -> Mlp:
+def mlp_init(dims, rng=None) -> Mlp:
     """Scaled-uniform init: W ~ U(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases zero."""
     dims = tuple(int(d) for d in dims)
     if len(dims) < 2 or any(d < 1 for d in dims):
@@ -219,17 +209,14 @@ def mlp_init(dims, hidden_activation="tanh", output_activation="identity", rng=N
         scale = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
         biases.append(np.zeros(fan_out))
-    return Mlp(dims, weights, biases, hidden_activation, output_activation)
+    return Mlp(dims, weights, biases)
 
 
 def mlp_forward(net: Mlp, X):
     """Forward pass; returns (cache, output). The cache feeds mlp_backward.
 
-    The cache is (activations, pre): the input and each layer's output, and
-    each layer's pre-activation. mlp_backward reads `pre` only for relu, so a
-    tanh hidden layer's pre-activation is freed as soon as its tanh is made:
-    its entry in `pre` is the same array as its activation and holds
-    post-activation values.
+    The cache is the list of the input and each layer's output: the tanh of
+    each hidden layer, then the output itself. No pre-activation is kept.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.dims[0]:
@@ -237,25 +224,16 @@ def mlp_forward(net: Mlp, X):
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite input to mlp_forward")
     activations = [X]
-    pre = []
-    a = X
     last = len(net.weights) - 1
     for l, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w
-        z += b
-        if l < last and net.hidden_activation == "tanh":
+        a = activations[-1] @ w
+        a += b
+        if l < last:
             # a new array, not tanh in place: in place changed the order of training's
             # allocations and sent glibc's malloc into an mmap/munmap cycle on every step
-            a = z = np.tanh(z)
-        elif l < last:
-            a = np.maximum(z, 0.0)
-        elif net.output_activation == "sigmoid":
-            a = sigmoid(z)
-        else:
-            a = z
-        pre.append(z)
+            a = np.tanh(a)
         activations.append(a)
-    return (activations, pre), activations[-1]
+    return activations, activations[-1]
 
 
 def mlp_backward(net: Mlp, cache, output_grad, *, input_grad=True, param_grads=True):
@@ -269,25 +247,20 @@ def mlp_backward(net: Mlp, cache, output_grad, *, input_grad=True, param_grads=T
     returned in the place of what is skipped. Skipping changes no bit of
     what is computed.
     """
-    activations, pre = cache
+    activations = cache
     if len(activations) != len(net.weights) + 1:
         raise ValueError("cache does not match network depth")
-    g = np.asarray(output_grad, dtype=float)
-    out = activations[-1]
-    if g.shape != out.shape:
-        raise ValueError(f"output_grad shape {g.shape} != output shape {out.shape}")
-    dz = g * out * (1.0 - out) if net.output_activation == "sigmoid" else g
+    dz = np.asarray(output_grad, dtype=float)
+    if dz.shape != activations[-1].shape:
+        raise ValueError(f"output_grad shape {dz.shape} != output shape {activations[-1].shape}")
     grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, 0, -1):
         if param_grads:
             grads[l] = (activations[l].T @ dz, _col_sum(dz))
         da = dz @ net.weights[l].T
-        if net.hidden_activation == "tanh":
-            dz = np.square(activations[l])
-            np.subtract(1.0, dz, out=dz)
-            dz *= da
-        else:
-            dz = da * (pre[l - 1] > 0.0)
+        dz = np.square(activations[l])  # tanh' = 1 - tanh^2
+        np.subtract(1.0, dz, out=dz)
+        dz *= da
     if param_grads:
         grads[0] = (activations[0].T @ dz, _col_sum(dz))
     return (grads if param_grads else None), (dz @ net.weights[0].T if input_grad else None)
@@ -375,6 +348,12 @@ def fit_logistic(X, y, cfg: TrainConfig) -> LinearModel:
     the loss: an estimate that is not NaN has a clipped log-likelihood in
     [log 1e-12, 0] and a residual in [-1, 1], so the loss is not finite
     exactly when grad_b is NaN or l2*||w||^2 is not finite.
+
+    One case depends on the BLAS: when a row's products X[i, j] * w[j]
+    overflow to infinities of opposite signs, whether `X @ w` gives NaN or an
+    infinity for that row depends on the order in which the BLAS adds them.
+    So in that overflow regime alone, whether the fit raises can differ
+    between BLAS builds.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mlcore, parallel
 from .debias import DebiasConfig, leakage_probe, train_debiaser, transform
-from .mlcore import TrainConfig, check_count, check_seed, derive_rng, sigmoid
+from .mlcore import TrainConfig, check_count, check_finite, check_seed, derive_rng, sigmoid
 from .tabular import ColumnSpec, DataError, DataTable, encode_features, split_indices
 from . import audit as audit_mod
 
@@ -43,6 +43,8 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("prevalence", "bias_strength", "proxy_strength"):
+            check_finite(name, getattr(self, name))
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must be in (0,1)")
         if not 0.0 <= self.bias_strength < 1.0:

@@ -613,12 +613,6 @@ class DesignColumn:
     source: str
     category: object = None  # None => identity (numeric) column
 
-    @property
-    def name(self) -> str:
-        if self.category is None:
-            return self.source
-        return f"{self.source}={self.category}"
-
 
 @dataclass
 class DesignMatrix:
@@ -633,10 +627,6 @@ class DesignMatrix:
     scaler: tuple  # per design column (mean, std); (0.0, 1.0) for one-hot columns
     schema: list
     carried: dict  # name -> stored array, for each protected and target column
-
-    @property
-    def feature_names(self) -> list:
-        return [c.name for c in self.column_map]
 
 
 def _layout(table: DataTable, fitted_categories: dict):

@@ -158,18 +158,12 @@ def reference_mlp_backward(net, cache, output_grad):
 
     Each bias gradient is numpy's `dz.sum(axis=0)`.
     """
-    activations, pre = cache
-    out = activations[-1]
-    g = np.asarray(output_grad, dtype=float)
-    dz = g * out * (1.0 - out) if net.output_activation == "sigmoid" else g
+    activations = cache
+    dz = np.asarray(output_grad, dtype=float)
     grads = [None] * len(net.weights)
     for l in range(len(net.weights) - 1, 0, -1):
         grads[l] = (activations[l].T @ dz, dz.sum(axis=0))
-        da = dz @ net.weights[l].T
-        if net.hidden_activation == "tanh":
-            dz = (1.0 - np.square(activations[l])) * da
-        else:
-            dz = da * (pre[l - 1] > 0.0)
+        dz = (1.0 - np.square(activations[l])) * (dz @ net.weights[l].T)
     grads[0] = (activations[0].T @ dz, dz.sum(axis=0))
     return grads, dz @ net.weights[0].T
 
@@ -196,10 +190,9 @@ def reference_debias_training(table, cfg):
     latent = debias.resolve_latent_dim(cfg, d)
     hidden = cfg.encoder_hidden if cfg.encoder_hidden is not None else 2 * d
     adv_hidden = cfg.adversary_hidden if cfg.adversary_hidden is not None else latent
-    encoder = mlp_init([d, hidden, latent], "tanh", "identity", derive_rng(cfg.seed, "encoder"))
-    decoder = mlp_init([latent, hidden, d], "tanh", "identity", derive_rng(cfg.seed, "decoder"))
-    adversary = mlp_init([latent, adv_hidden, targets.shape[1]], "tanh", "identity",
-                         derive_rng(cfg.seed, "adversary"))
+    encoder = mlp_init([d, hidden, latent], derive_rng(cfg.seed, "encoder"))
+    decoder = mlp_init([latent, hidden, d], derive_rng(cfg.seed, "decoder"))
+    adversary = mlp_init([latent, adv_hidden, targets.shape[1]], derive_rng(cfg.seed, "adversary"))
     st_enc, st_dec, st_adv = (reference_adam_init(net) for net in (encoder, decoder, adversary))
     recon_blocks = debias._reconstruction_blocks(mat.column_map)
     shuffler = derive_rng(cfg.seed, "batches")
@@ -365,12 +358,13 @@ def reference_sigmoid(z):
 def reference_fit_logistic(X, y, cfg):
     """(weights, intercept, per-epoch losses) of fairprep's gradient-descent logistic fit.
 
-    Each epoch's loss is y*log(pc) + (1-y)*log(1-pc) with both logs taken on
-    every row, the sigmoid is `reference_sigmoid`, and p - y is formed anew
-    for each gradient. Raises fairprep's TrainingDivergedError at the first
+    Each epoch's loss is y*log(pc) + (1-y)*log(1-pc), with pc the estimate p
+    clipped to [1e-12, 1 - 1e-12] and both logs taken on every row, the
+    sigmoid is `reference_sigmoid`, and p - y is formed anew for each
+    gradient. Raises fairprep's TrainingDivergedError at the first
     epoch whose loss is not finite.
     """
-    from fairprep.mlcore import PROB_CLIP, TrainingDivergedError
+    from fairprep.mlcore import TrainingDivergedError
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -381,7 +375,7 @@ def reference_fit_logistic(X, y, cfg):
     for epoch in range(cfg.epochs):
         z = X @ w + b
         p = reference_sigmoid(z)
-        pc = np.clip(p, PROB_CLIP, 1.0 - PROB_CLIP)
+        pc = np.clip(p, 1e-12, 1.0 - 1e-12)
         loss = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log(1.0 - pc)) + cfg.l2 * w @ w)
         if not math.isfinite(loss):
             raise TrainingDivergedError(f"loss became non-finite at epoch {epoch}", epoch)

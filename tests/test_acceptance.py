@@ -14,7 +14,6 @@ import pytest
 from fairprep.cli import main as cli_main
 from fairprep.mlcore import (
     TrainConfig,
-    binary_cross_entropy,
     derive_rng,
     fit_linear,
     fit_logistic,
@@ -22,6 +21,7 @@ from fairprep.mlcore import (
     mlp_forward,
     mlp_init,
     softmax_cross_entropy,
+    softmax_cross_entropy_grad,
     squared_error,
 )
 from fairprep.synth import SyntheticSpec, synth_check
@@ -42,28 +42,29 @@ def test_criterion_01_gradient_fidelity():
     rng = derive_rng(101, "accept-grad")
     worst = 0.0
     cases = 0
-    for trial in range(20):
+    for trial in range(21):
         depth = rng.integers(2, 4)  # 1 or 2 hidden layers plus output
         dims = [int(rng.integers(2, 9)) for _ in range(depth + 1)]
-        hidden = ("tanh", "relu")[int(rng.integers(2))]
-        loss_kind = ("squared", "softmax", "bce")[trial % 3]
-        output = "sigmoid" if loss_kind == "bce" else "identity"
-        net = mlp_init(dims, hidden, output, derive_rng(trial, "accept-net"))
+        # the fused softmax call, and its gradient half alone as the adversary phase calls it
+        loss_kind = ("squared", "softmax", "softmax-grad-only")[trial % 3]
+        net = mlp_init(dims, derive_rng(trial, "accept-net"))
         X = rng.standard_normal((5, dims[0]))
         k = dims[-1]
         if loss_kind == "squared":
             target = rng.standard_normal((5, k))
             loss = lambda out: squared_error(out, target)[0]
             grad_fn = lambda out: squared_error(out, target)[1]
-        elif loss_kind == "softmax":
+        else:
             target = np.zeros((5, k))
             target[np.arange(5), rng.integers(k, size=5)] = 1.0
             loss = lambda out: softmax_cross_entropy(out, target)[0]
-            grad_fn = lambda out: softmax_cross_entropy(out, target)[1]
-        else:
-            target = rng.integers(0, 2, size=(5, k)).astype(float)
-            loss = lambda out: binary_cross_entropy(out, target)[0]
-            grad_fn = lambda out: binary_cross_entropy(out, target)[1]
+            if loss_kind == "softmax":
+                grad_fn = lambda out: softmax_cross_entropy(out, target)[1]
+            else:
+                def grad_fn(out):
+                    grad = np.empty_like(out)
+                    softmax_cross_entropy_grad(out, target, grad)
+                    return grad
         cache, out = mlp_forward(net, X)
         analytic, _ = mlp_backward(net, cache, grad_fn(out))
         numeric = oracles.finite_diff_param_grads(net, X, loss, step=1e-5)

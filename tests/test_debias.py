@@ -313,6 +313,25 @@ def test_saved_model_with_a_wrong_length_bias_does_not_load(tmp_path):
         load_debias_model(path)
 
 
+@pytest.mark.parametrize("hidden, output", [
+    ("relu", "identity"), ("tanh", "sigmoid"),
+    ("tanhh", "identity"), ("tanh", "idenity"), ("tanh", "softmax"), ("sigmoid", "identity"),
+])
+def test_saved_model_with_another_activation_does_not_load(tmp_path, hidden, output):
+    model, _ = train_debiaser(copy_dataset(n=120), DebiasConfig(epochs=2, seed=2))
+    path = tmp_path / "model.json"
+    save_debias_model(model, path)
+    data = json.loads(path.read_text())
+    # every net is written tanh-hidden, identity-output: the two keys are fixed format values
+    for net in ("encoder", "decoder", "adversary"):
+        assert (data[net]["hidden_activation"], data[net]["output_activation"]) == ("tanh", "identity")
+    data["adversary"].update(hidden_activation=hidden, output_activation=output)
+    path.write_text(json.dumps(data))
+    key, bad = ("hidden_activation", hidden) if hidden != "tanh" else ("output_activation", output)
+    with pytest.raises(SchemaError, match=f"'{key}' must be .*, got '{bad}'"):
+        load_debias_model(path)
+
+
 def test_trace_csv_export(tmp_path):
     table = copy_dataset(n=100)
     _, trace = train_debiaser(table, DebiasConfig(epochs=15, seed=0))

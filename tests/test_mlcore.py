@@ -16,7 +16,6 @@ from fairprep.mlcore import (
     adam_init,
     adam_step,
     auc,
-    binary_cross_entropy,
     derive_rng,
     fit_linear,
     fit_logistic,
@@ -27,6 +26,7 @@ from fairprep.mlcore import (
     r_squared,
     sigmoid,
     softmax_cross_entropy,
+    softmax_cross_entropy_grad,
     squared_error,
     _col_sum,
     _row_max,
@@ -74,18 +74,6 @@ def test_mlp_rejects_arrays_that_do_not_fit_its_dims():
         Mlp((4, 8, 2), [w0], [b0])
 
 
-@pytest.mark.parametrize("hidden, output", [
-    ("tanhh", "identity"), ("tanh", "idenity"), ("tanh", "softmax"), ("sigmoid", "identity"),
-])
-def test_mlp_rejects_an_unknown_activation_name(hidden, output):
-    w0, b0 = np.ones((3, 2)), np.zeros(2)
-    bad = hidden if hidden not in ("relu", "tanh") else output
-    with pytest.raises(ValueError, match=f"unknown .* activation '{bad}'"):
-        Mlp((3, 2), [w0], [b0], hidden, output)
-    with pytest.raises(ValueError, match=f"unknown .* activation '{bad}'"):
-        mlp_init([3, 2], hidden, output)
-
-
 def test_mlp_init_same_seed_identical():
     a = mlp_init([4, 5, 2], rng=derive_rng(3, "init"))
     b = mlp_init([4, 5, 2], rng=derive_rng(3, "init"))
@@ -100,14 +88,6 @@ def test_mlp_init_rejects_bad_dims():
         mlp_init([4, 0])
 
 
-def test_forward_zero_weights_sigmoid_gives_half():
-    net = mlp_init([3, 1], output_activation="sigmoid", rng=derive_rng(0, "t"))
-    for w in net.weights:
-        w[:] = 0.0
-    _, out = mlp_forward(net, np.ones((4, 3)))
-    assert np.all(out == 0.5)
-
-
 def test_forward_single_identity_layer_is_affine():
     net = mlp_init([2, 3], rng=derive_rng(1, "t"))
     X = derive_rng(2, "t").standard_normal((5, 2))
@@ -117,7 +97,7 @@ def test_forward_single_identity_layer_is_affine():
 
 def test_forward_matches_hand_computation():
     rng = derive_rng(5, "hand")
-    net = mlp_init([3, 4, 2], hidden_activation="tanh", rng=rng)
+    net = mlp_init([3, 4, 2], rng=rng)
     X = rng.standard_normal((3, 3))
     _, out = mlp_forward(net, X)
     # independent re-derivation with explicit numpy ops
@@ -126,18 +106,15 @@ def test_forward_matches_hand_computation():
     assert np.allclose(out, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("activation", ["tanh", "relu"])
-def test_forward_cache_keeps_one_array_per_tanh_layer(activation):
-    net = mlp_init([3, 4, 5, 2], hidden_activation=activation, rng=derive_rng(6, "cache"))
+def test_forward_cache_keeps_one_array_per_tanh_layer():
+    net = mlp_init([3, 4, 5, 2], rng=derive_rng(6, "cache"))
     X = derive_rng(7, "cache").standard_normal((6, 3))
-    (activations, pre), out = mlp_forward(net, X)
-    z = X @ net.weights[0] + net.biases[0]
-    if activation == "tanh":  # the pre-activation is dropped: `pre` holds the tanh itself
-        assert pre[0] is activations[1] and pre[1] is activations[2]
-        assert np.array_equal(pre[0], np.tanh(z))
-    else:  # relu's backward reads its pre-activation
-        assert np.array_equal(pre[0], z) and pre[0] is not activations[1]
-    assert pre[2] is out
+    cache, out = mlp_forward(net, X)
+    # the input, each hidden layer's tanh and the output; no pre-activation is kept
+    assert isinstance(cache, list) and len(cache) == 4
+    assert cache[0] is X and cache[3] is out
+    assert np.array_equal(cache[1], np.tanh(X @ net.weights[0] + net.biases[0]))
+    assert np.array_equal(cache[2], np.tanh(cache[1] @ net.weights[1] + net.biases[1]))
 
 
 def test_forward_rejects_bad_input():
@@ -176,6 +153,32 @@ def test_property_row_reductions_and_softmax_gradient_are_bit_exact(
     assert np.array_equal(bits(_row_sum(z)), bits(z.sum(axis=1, keepdims=True)))
     _, grad = softmax_cross_entropy(z, onehot)
     assert np.array_equal(bits((oracles.softmax(z) - onehot) / n), bits(grad))
+
+
+# widths 2 and 7 sum rows column by column, 8 and 12 with numpy's pairwise axis=1 sum
+# (_NARROW_ROW is 8); each is the first head of one pair and the second of another
+@pytest.mark.parametrize("widths", [(2, 7), (7, 8), (8, 12), (12, 2)], ids=str)
+def test_softmax_gradient_alone_is_the_fused_gradient_bit_for_bit(widths):
+    rng = derive_rng(sum(widths), "softmax-grad")
+    n, k = 37, sum(widths)
+    logits = rng.standard_normal((n, k)) * 10.0 ** rng.uniform(-3, 3, size=(n, 1))
+    logits[rng.random(logits.shape) < 0.1] = -0.0
+    onehot = np.hstack([np.eye(w)[rng.integers(0, w, n)] for w in widths])
+    # two heads written as column-slice views of one gradient array, as the adversary phase does
+    grad = np.full_like(logits, np.nan)
+    heads = [slice(0, widths[0]), slice(widths[0], k)]
+    for cols in heads:
+        softmax_cross_entropy_grad(logits[:, cols], onehot[:, cols], grad[:, cols])
+    for cols in heads:
+        _, want = softmax_cross_entropy(logits[:, cols], onehot[:, cols])
+        assert np.array_equal(grad[:, cols].view(np.int64), want.view(np.int64))
+        reference = (oracles.softmax(logits[:, cols]) - onehot[:, cols]) / n
+        assert np.array_equal(want.view(np.int64), reference.view(np.int64))
+        # and on a contiguous copy of the head, into a contiguous array
+        z = np.ascontiguousarray(logits[:, cols])
+        alone = np.empty_like(z)
+        softmax_cross_entropy_grad(z, onehot[:, cols], alone)
+        assert np.array_equal(alone.view(np.int64), want.view(np.int64))
 
 
 # signed zeros, subnormals, the smallest normal, infinities, NaNs and magnitudes near the top
@@ -258,14 +261,12 @@ def test_sigmoid_edge_values_match_the_reference_bit_for_bit():
 def _loss_fn(kind, target):
     if kind == "squared":
         return lambda out: squared_error(out, target)[0]
-    if kind == "softmax":
-        return lambda out: softmax_cross_entropy(out, target)[0]
-    return lambda out: binary_cross_entropy(out, target)[0]
+    return lambda out: softmax_cross_entropy(out, target)[0]
 
 
 def test_backward_finite_difference_5_7_3():
     rng = derive_rng(11, "fd")
-    net = mlp_init([5, 7, 3], hidden_activation="tanh", rng=rng)
+    net = mlp_init([5, 7, 3], rng=rng)
     X = rng.standard_normal((6, 5))
     Y = np.zeros((6, 3))
     Y[np.arange(6), rng.integers(3, size=6)] = 1.0
@@ -306,26 +307,26 @@ def test_backward_rejects_mismatched_cache():
 
 def test_backward_input_gradient_checks_numerically():
     rng = derive_rng(15, "ig")
-    net = mlp_init([4, 6, 2], output_activation="sigmoid", rng=rng)
+    net = mlp_init([4, 6, 2], rng=rng)
     X = rng.standard_normal((3, 4))
-    y = rng.integers(0, 2, size=(3, 2)).astype(float)
+    y = np.eye(2)[rng.integers(0, 2, size=3)]
     cache, out = mlp_forward(net, X)
-    _, grad = binary_cross_entropy(out, y)
+    _, grad = softmax_cross_entropy(out, y)
     _, input_grad = mlp_backward(net, cache, grad)
     step = 1e-6
     i, j = 1, 2
     Xp = X.copy(); Xp[i, j] += step
     Xm = X.copy(); Xm[i, j] -= step
-    lp = binary_cross_entropy(mlp_forward(net, Xp)[1], y)[0]
-    lm = binary_cross_entropy(mlp_forward(net, Xm)[1], y)[0]
+    lp = softmax_cross_entropy(mlp_forward(net, Xp)[1], y)[0]
+    lm = softmax_cross_entropy(mlp_forward(net, Xm)[1], y)[0]
     fd = (lp - lm) / (2 * step)
     assert input_grad[i, j] == pytest.approx(fd, rel=1e-4)
 
 
 def test_backward_without_input_gradient_gives_the_same_parameter_gradients():
     rng = derive_rng(18, "no-input-grad")
-    for dims, hidden in (([5, 7, 3], "tanh"), ([4, 6, 5, 2], "relu"), ([3, 2], "tanh")):
-        net = mlp_init(dims, hidden_activation=hidden, rng=rng)
+    for dims in ([5, 7, 3], [4, 6, 5, 2], [3, 2]):
+        net = mlp_init(dims, rng=rng)
         cache, out = mlp_forward(net, rng.standard_normal((9, dims[0])))
         grad = rng.standard_normal(out.shape)
         full, input_grad = mlp_backward(net, cache, grad)
@@ -337,9 +338,8 @@ def test_backward_without_input_gradient_gives_the_same_parameter_gradients():
 
 def test_backward_without_parameter_gradients_gives_the_same_input_gradient_bits():
     rng = derive_rng(19, "no-param-grads")
-    for dims, hidden, output in (([5, 7, 3], "tanh", "identity"), ([4, 6, 5, 2], "relu", "identity"),
-                                 ([3, 2], "tanh", "sigmoid"), ([6, 16, 2], "tanh", "identity")):
-        net = mlp_init(dims, hidden, output, rng=rng)
+    for dims in ([5, 7, 3], [4, 6, 5, 2], [3, 2], [6, 16, 2]):
+        net = mlp_init(dims, rng=rng)
         cache, out = mlp_forward(net, rng.standard_normal((33, dims[0])))
         grad = rng.standard_normal(out.shape)
         _, full = mlp_backward(net, cache, grad)
@@ -351,13 +351,13 @@ def test_backward_without_parameter_gradients_gives_the_same_input_gradient_bits
 def test_adam_reduces_loss():
     rng = derive_rng(16, "opt")
     X = rng.standard_normal((32, 4))
-    y = (X[:, :1] > 0).astype(float)
-    net = mlp_init([4, 8, 1], output_activation="sigmoid", rng=derive_rng(17, "opt"))
+    y = np.eye(2)[(X[:, 0] > 0).astype(int)]
+    net = mlp_init([4, 8, 2], rng=derive_rng(17, "opt"))
     state = adam_init(net)
     losses = []
     for _ in range(60):
         cache, out = mlp_forward(net, X)
-        loss, grad = binary_cross_entropy(out, y)
+        loss, grad = softmax_cross_entropy(out, y)
         losses.append(loss)
         grads, _ = mlp_backward(net, cache, grad)
         adam_step(net, grads, state, 0.01)

@@ -36,6 +36,16 @@ def test_spec_rejects_a_seed_or_size_that_is_not_an_integer(field, value):
         SyntheticSpec(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    # a bool would be taken as 0 or 1; a string or None would fail the range check with a TypeError
+    ("proxy_strength", True), ("prevalence", "0.5"), ("bias_strength", None),
+    ("proxy_strength", "0.3"),
+])
+def test_spec_rejects_a_rate_that_is_not_a_number(field, value):
+    with pytest.raises(ValueError, match=field):
+        SyntheticSpec(**{field: value})
+
+
 def test_spec_takes_a_negative_seed_and_no_proxies():
     table, _ = make_synthetic(SyntheticSpec(n=100, n_proxies=0, seed=-7))
     assert not [name for name in table.column_names if name.startswith("proxy")]

@@ -758,7 +758,8 @@ def test_encode_dimensions(toy_table):
     mat = encode(toy_table)
     # x (1) + c one-hot (3) + flag one-hot (2); protected and target excluded
     assert mat.values.shape == (5, 6)
-    assert mat.feature_names == ["x", "c=red", "c=green", "c=blue", "flag=0", "flag=1"]
+    assert [(c.source, c.category) for c in mat.column_map] == [
+        ("x", None), ("c", "red"), ("c", "green"), ("c", "blue"), ("flag", 0), ("flag", 1)]
 
 
 def test_encode_standardizes_with_population_std():
@@ -804,7 +805,8 @@ def test_encode_missing_categorical_gets_its_own_column():
         [ColumnSpec("c", "categorical", categories=("a", "b"))], {"c": ["a", None, "b"]}
     )
     mat = encode(table)
-    assert mat.feature_names == ["c=a", "c=b", "c=__missing__"]
+    assert [(c.source, c.category) for c in mat.column_map] == [
+        ("c", "a"), ("c", "b"), ("c", "__missing__")]
     assert mat.values[1].tolist() == [0.0, 0.0, 1.0]
 
 
@@ -898,7 +900,7 @@ def test_property_round_trip_and_one_hot(table):
     back = decode(mat)
     x, missing = table.array("x"), table.missing("x")
     assert np.allclose(back.array("x")[~missing], x[~missing], rtol=0.0, atol=1e-9)
-    mean = mat.scaler[mat.feature_names.index("x")][0]
+    mean = mat.scaler[[dc.source for dc in mat.column_map].index("x")][0]
     assert mean == np.mean(x[~missing])
     assert np.array_equal(back.array("x")[missing], np.full(missing.sum(), mean))
     # codes, -1 for a missing cell, come back exactly; the protected g and target t are carried
