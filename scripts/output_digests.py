@@ -23,8 +23,9 @@ The runs use the checkout this script sits in:
   input rewritten by `transform` and written with `write_csv`;
 - `fairprep audit --report` on a generated 400-row estimates file;
 - `write_csv` of a generated 25 000-row table, above the row count from which
-  a forked child writes the back half, with missing cells (one on the middle
-  row) and labels that need quoting; that file read back with `load_csv`
+  it is cut in two halves, each formatted by a forked child on 2 or more
+  CPUs, with missing cells (one on the middle row) and labels that need
+  quoting; that file read back with `load_csv`
   (its quotes send it to `csv.reader`) and written again;
 - `load_csv` of a generated quote-free 25 000-row file, which it parses in
   four chunks of `CSV_CHUNK_ROWS` lines, with a blank line on a chunk
@@ -37,6 +38,9 @@ One `sha256  path` line is printed per file, sorted by path. To compare two
 checkouts, run each one's copy of this script and `diff` the two outputs:
 
     python3 scripts/output_digests.py > after.txt
+
+Under `taskset -c 0` every call of `parallel.map` is made in this process, so
+the same checkout run pinned and unpinned must print the same digests.
 """
 
 from __future__ import annotations

@@ -5,11 +5,13 @@ A child starts from this process's memory, so its arguments reach it through
 the fork and are never pickled; only its outcome comes back, through a pipe.
 In the child, OpenBLAS computes with one thread and the calls are made in
 order up to the first error. The warnings each call raises come back with
-its value and are re-emitted through this process's filters. `forked` runs
-one call in a child beside the caller's block; `map` deals calls out over
-several children, or makes them in this process with one, so a caller writes
-its schedule once and gets the same results either way. `worker_count` gives
-the usable CPUs, which is 1 off Linux.
+its value and are re-emitted through this process's filters. `map` is the one
+way work forks: it deals calls out over several children while the caller
+waits, or makes them in this process with one, so a caller writes its
+schedule once and gets the same values, warnings and first error either way.
+Calls to different functions go through a trampoline whose first argument
+is the function to call. `worker_count` gives the usable CPUs, which is 1 off
+Linux.
 """
 
 from __future__ import annotations
@@ -154,43 +156,3 @@ def map(fn, calls, processes: int) -> list:  # noqa: A001 - the parallel form of
     with _children(fn, [calls[k::processes] for k in range(processes)]) as children:
         reports = [_report(*child) for child in children]
     return _in_call_order(reports, len(calls))
-
-
-class Outcome:
-    """A call made now, in this process: `result()` returns its value or raises
-    its error, so a caller can decide which of several failures to raise."""
-
-    def __init__(self, fn, *args):
-        self._value = self._error = None
-        try:
-            self._value = fn(*args)
-        except Exception as exc:  # noqa: BLE001 - raised again by result()
-            self._error = exc
-
-    def result(self):
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class _Returned:
-    """`forked`'s handle: `result()` gives the child's value once the block has ended."""
-
-    def result(self):
-        return self.value
-
-
-@contextmanager
-def forked(fn, *args):
-    """Run `fn(*args)` in one forked child while the block runs.
-
-    When the block ends, this waits for the child, re-emits its warnings and
-    raises its error; otherwise the handle the block gets then gives the
-    child's value through `result()`. If the block raises, the child is killed
-    first.
-    """
-    handle = _Returned()
-    with _children(fn, [[args]]) as [child]:
-        yield handle
-        report = _report(*child)
-    [handle.value] = _in_call_order([report], 1)

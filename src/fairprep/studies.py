@@ -8,6 +8,7 @@ table differs, and both reports carry the same config digest as proof.
 from __future__ import annotations
 
 import hashlib
+import math
 import statistics
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -23,6 +24,7 @@ from .tabular import (
     SchemaError,
     binarize_threshold,
     bucket_numeric,
+    check_block,
     check_test_fraction,
     drop_columns,
     drop_sparse_columns,
@@ -43,16 +45,9 @@ MODEL_KEYS = {
 MODEL_KINDS = tuple(MODEL_KEYS)
 # every DebiasConfig field except the seed, which comes from the study's seed list
 DEBIAS_KEYS = frozenset(f.name for f in fields(DebiasConfig)) - {"seed"}
+SOURCE_KEYS = frozenset({"bundled", "url", "filename", "sha256"})
 FIT_DEBIAS_ON = ("full", "train")
 AUDIT_ON = ("all", "test")
-
-
-def _check_block(block, allowed, where: str) -> None:
-    if not isinstance(block, dict):
-        raise SchemaError(f"{where} must be a JSON object")
-    unknown = sorted(set(block) - allowed)
-    if unknown:
-        raise SchemaError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
 
 def _is_label(value) -> bool:
@@ -85,7 +80,7 @@ def _audit_settings(audit: dict) -> dict:
 
 
 def _check_audit(audit) -> None:
-    _check_block(audit, AUDIT_KEYS, "audit")
+    check_block(audit, AUDIT_KEYS, "audit")
     for key, value in audit.items():
         is_shape, shape = _AUDIT_SHAPES[key]
         if not is_shape(value):
@@ -96,28 +91,67 @@ def _check_audit(audit) -> None:
         raise SchemaError(f"audit: {exc}") from None
 
 
-def _apply_transform(table: DataTable, step: dict) -> DataTable:
-    op = step.get("op")
-    if op == "filter_rows":
-        return filter_rows(table, step["column"], step["keep"])
-    if op == "quartile_binarize":
-        return quartile_binarize(table, step["column"])
-    if op == "bucket_numeric":
-        return bucket_numeric(table, step["column"], step["edges"])
-    if op == "binarize_threshold":
-        return binarize_threshold(
-            table, step["column"], step["threshold"], step.get("strict", False)
-        )
-    if op == "drop_sparse_columns":
-        return drop_sparse_columns(table, step["k"])
-    if op == "drop_columns":
-        return drop_columns(table, step["names"])
-    raise SchemaError(f"unknown transform op {op!r}")
+def _is_number(value) -> bool:
+    """A finite JSON number that converts to a float."""
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+def _list_of(is_item):
+    return lambda v: isinstance(v, list) and all(map(is_item, v))
+
+
+def _is_name(value) -> bool:
+    return isinstance(value, str)
+
+
+_COLUMN = (_is_name, "a string")
+# each transform op's function and the JSON shape of each key it takes: a step's keys are
+# its function's keyword arguments, and every one but `strict` is required
+_TRANSFORMS = {
+    "filter_rows": (filter_rows, {"column": _COLUMN, "keep": (
+        _list_of(lambda v: v is None or _is_label(v)), "a list of strings, integers or nulls")}),
+    "quartile_binarize": (quartile_binarize, {"column": _COLUMN}),
+    "bucket_numeric": (bucket_numeric, {"column": _COLUMN,
+                                        "edges": (_list_of(_is_number), "a list of numbers")}),
+    "binarize_threshold": (binarize_threshold, {"column": _COLUMN, "threshold": (_is_number, "a number"),
+                                                "strict": (lambda v: type(v) is bool, "true or false")}),
+    "drop_sparse_columns": (drop_sparse_columns, {"k": (lambda v: type(v) is int, "an integer")}),
+    "drop_columns": (drop_columns, {"names": (_list_of(_is_name), "a list of strings")}),
+}
+
+
+def _check_transforms(transforms) -> None:
+    """Raise SchemaError, naming the step and key, unless `transforms` is a list of
+    objects, each with a known `op`, exactly that op's keys and values of their shapes."""
+    if not isinstance(transforms, list):
+        raise SchemaError(f"transforms must be a list of steps, got {transforms!r}")
+    for i, step in enumerate(transforms):
+        where = f"transforms[{i}]"
+        if not isinstance(step, dict):
+            raise SchemaError(f"{where} must be a JSON object")
+        op = step.get("op")
+        if not (isinstance(op, str) and op in _TRANSFORMS):
+            raise SchemaError(f"{where}: unknown transform op {op!r}; known: {sorted(_TRANSFORMS)}")
+        shapes = _TRANSFORMS[op][1]
+        where = f"{where} ({op})"
+        check_block(step, {"op", *shapes}, where)
+        missing = sorted(set(shapes) - set(step) - {"strict"})
+        if missing:
+            raise SchemaError(f"{where}: missing key(s) {missing}")
+        for key, value in step.items():
+            if key != "op" and not shapes[key][0](value):
+                raise SchemaError(f"{where}: {key} must be {shapes[key][1]}, got {value!r}")
 
 
 def apply_transforms(table: DataTable, transforms) -> DataTable:
+    """`table` after each step of `transforms`, in order; checked first as a config's are."""
+    _check_transforms(transforms)
     for step in transforms:
-        table = _apply_transform(table, step)
+        fn, _ = _TRANSFORMS[step["op"]]
+        table = fn(table, **{key: value for key, value in step.items() if key != "op"})
     return table
 
 
@@ -142,10 +176,19 @@ class StudyConfig:
     raw: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
+        # the name starts every output file's name, so it may not name a directory
+        if not (isinstance(self.name, str) and self.name and Path(self.name).name == self.name):
+            raise SchemaError(f"name must be a non-empty string without a path separator, "
+                              f"got {self.name!r}")
+        check_block(self.source, SOURCE_KEYS, "source")
+        for key, value in self.source.items():
+            if not (value is None or isinstance(value, str)):
+                raise SchemaError(f"source.{key} must be a string or null, got {value!r}")
+        _check_transforms(self.transforms)
         kind = self.model.get("kind") if isinstance(self.model, dict) else None
         if kind not in MODEL_KINDS:
             raise SchemaError(f"model must be an object whose kind is one of {MODEL_KINDS}")
-        _check_block(self.model, MODEL_KEYS[kind], "model")
+        check_block(self.model, MODEL_KEYS[kind], "model")
         try:
             if kind == "logistic":
                 _train_config(self.model)
@@ -153,7 +196,7 @@ class StudyConfig:
                 mlcore.check_ridge_lambda(_ridge_lambda(self.model))
         except ValueError as exc:
             raise SchemaError(f"model: {exc}") from None
-        _check_block(self.debias, DEBIAS_KEYS, "debias")
+        check_block(self.debias, DEBIAS_KEYS, "debias")
         try:
             self.debias_config(seed=0)
         except ValueError as exc:
@@ -176,7 +219,10 @@ class StudyConfig:
         """Load a study config; an unknown key or a bad value fails naming the file."""
         path = Path(path)
         data = read_json(path)
-        _check_block(data, STUDY_KEYS, path.name)
+        check_block(data, STUDY_KEYS, path.name)
+        if not isinstance(data.get("schema"), str):
+            raise SchemaError(f"{path.name}: schema must be the path of a schema file, "
+                              f"got {data.get('schema')!r}")
         schema = load_schema(path.parent / data["schema"])
         try:
             # every config key is a field; one the config leaves out keeps the field's default

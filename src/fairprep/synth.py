@@ -11,7 +11,6 @@ allows: model accuracy against the world before the bias was added.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -25,8 +24,8 @@ from . import audit as audit_mod
 PROTECTED_COLUMN = "group"
 TARGET_COLUMN = "outcome"
 
-# Below this many rows the probe and fits that overlap training take about as long as a
-# forked worker costs to start, feed and stop, so `synth_check` runs every stage in this
+# Below this many rows the probe and fits that overlap training take about as long as
+# forked workers cost to start, feed and stop, so `synth_check` makes every call in this
 # process. Measured on a 2-vCPU VM: at 2000 rows the two schedules took the same time,
 # at 5000 rows (30 epochs) the worker saved 8% and at 10 000 rows 13%.
 MIN_ROWS_FOR_A_WORKER = 5000
@@ -128,6 +127,16 @@ def _debiased(table: DataTable, debias_cfg: DebiasConfig) -> DataTable:
     return transform(dmodel, table)
 
 
+def _probe_and_fit(table: DataTable, fair_labels, seed: int, model_cfg: TrainConfig):
+    """The leakage probe's AUC on `table`, then `_fit_and_score` on it."""
+    auc = leakage_probe(table, PROTECTED_COLUMN, seed)
+    return auc, _fit_and_score(table, fair_labels, seed, model_cfg)
+
+
+def _call(fn, *args):
+    return fn(*args)
+
+
 @dataclass
 class SynthCheckResult:
     spec: SyntheticSpec
@@ -170,27 +179,19 @@ def synth_check(
     if model_cfg is None:
         model_cfg = TrainConfig()
 
-    # With two usable CPUs and a large enough table, one forked child trains and rewrites
-    # while this process probes and fits the raw table, then a second probes the rewritten
-    # table while this process fits it. Otherwise the same calls run here, one after
-    # another. Every stage is seeded and self-contained, so the results are the same bits
-    # either way. Errors are raised in the order of the stages in a sequential run: train
-    # and transform, probe pre, probe post, fit pre, fit post.
-    fork = parallel.worker_count(2 if table.n_rows >= MIN_ROWS_FOR_A_WORKER else 1) > 1
-
-    def beside(fn, *args):
-        return parallel.forked(fn, *args) if fork else nullcontext(parallel.Outcome(fn, *args))
-
-    with beside(_debiased, table, debias_cfg) as rewriting:
-        probe_pre = parallel.Outcome(leakage_probe, table, PROTECTED_COLUMN, spec.seed)
-        fit_pre = parallel.Outcome(_fit_and_score, table, fair_labels, spec.seed, model_cfg)
-    debiased = rewriting.result()
-    auc_pre = probe_pre.result()
-    with beside(leakage_probe, debiased, PROTECTED_COLUMN, spec.seed) as probe_post:
-        fit_post = parallel.Outcome(_fit_and_score, debiased, fair_labels, spec.seed, model_cfg)
-    auc_post = probe_post.result()
-    obs_pre, fair_pre, bias_pre = fit_pre.result()
-    obs_post, fair_post, bias_post = fit_post.result()
+    # With two usable CPUs and a large enough table, two forked children run each stage:
+    # one trains and rewrites while the other probes and fits the raw table, then one
+    # probes the rewritten table while the other fits it. Otherwise `parallel.map` makes
+    # the same calls here, in order. Every call is seeded and self-contained, so the
+    # results are the same bits either way, and the error raised is the first in call
+    # order: train and rewrite, probe pre, fit pre, probe post, fit post.
+    processes = parallel.worker_count(2 if table.n_rows >= MIN_ROWS_FOR_A_WORKER else 1)
+    debiased, (auc_pre, (obs_pre, fair_pre, bias_pre)) = parallel.map(_call, [
+        (_debiased, table, debias_cfg),
+        (_probe_and_fit, table, fair_labels, spec.seed, model_cfg)], processes)
+    auc_post, (obs_post, fair_post, bias_post) = parallel.map(_call, [
+        (leakage_probe, debiased, PROTECTED_COLUMN, spec.seed),
+        (_fit_and_score, debiased, fair_labels, spec.seed, model_cfg)], processes)
 
     return SynthCheckResult(
         spec=spec,

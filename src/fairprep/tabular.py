@@ -15,6 +15,7 @@ import csv
 import io
 import math
 import shutil
+from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Real
@@ -201,20 +202,39 @@ def schema_to_jsonable(schema) -> list:
     return out
 
 
+def check_block(block, allowed, where: str) -> None:
+    """Raise SchemaError naming `where` unless `block` is a JSON object whose keys are all `allowed`."""
+    if not isinstance(block, dict):
+        raise SchemaError(f"{where} must be a JSON object")
+    unknown = sorted(set(block) - allowed)
+    if unknown:
+        raise SchemaError(f"{where}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
+
+
+#: the keys a schema file's column entry may carry; `name` and `kind` are required
+SCHEMA_ENTRY_KEYS = frozenset({"name", "kind", "role", "categories"})
+
+
 def schema_from_jsonable(data) -> list:
+    """The column specs of a schema file's JSON list; an entry that is no
+    column spec raises SchemaError naming its index."""
     if not isinstance(data, list):
         raise SchemaError("schema file must hold a JSON list of column specs")
-    schema = []
-    for entry in data:
-        schema.append(
-            ColumnSpec(
-                name=entry["name"],
-                kind=entry["kind"],
-                role=entry.get("role", "feature"),
-                categories=tuple(entry.get("categories", ())),
-            )
-        )
-    return schema
+    for i, entry in enumerate(data):
+        where = f"schema entry {i}"
+        check_block(entry, SCHEMA_ENTRY_KEYS, where)
+        missing = sorted({"name", "kind"} - set(entry))
+        if missing:
+            raise SchemaError(f"{where}: missing key(s) {missing}")
+        if not isinstance(entry["name"], str):
+            raise SchemaError(f"{where}: name must be a string, got {entry['name']!r}")
+        categories = entry.get("categories", [])
+        if not (isinstance(categories, list)
+                and all(isinstance(c, (str, int, float)) for c in categories)):
+            raise SchemaError(f"{where} ({entry['name']!r}): categories must be a list of strings "
+                              f"or numbers, got {categories!r}")
+    return [ColumnSpec(name=entry["name"], kind=entry["kind"], role=entry.get("role", "feature"),
+                       categories=tuple(entry.get("categories", ()))) for entry in data]
 
 
 def load_schema(path) -> list:
@@ -393,26 +413,22 @@ def _cell_texts(spec: ColumnSpec, arr) -> list:
 #: time, so neither the cell strings nor the text of the whole table exist at once
 CSV_CHUNK_ROWS = 8192
 
-#: rows from which a forked child writes the back half of a CSV file. On a
-#: 2-CPU box with a 300 MB caller, an 11-column table broke even at about
-#: 4000 rows; at 10 000 rows the forked write took 0.056 s against 0.080 s
+#: rows from which `write_csv` cuts a table in two parts, formatted by two
+#: forked children where two CPUs are usable. On a 2-CPU box with a 300 MB caller, an 11-column table
+#: broke even at about 4000 rows; at 10 000 rows the forked write took 0.056 s
+#: against 0.080 s
 MIN_ROWS_FOR_A_WRITER = 10_000
 
 
-def _write_rows(table: DataTable, fh, start: int, stop: int) -> None:
-    """Write rows [start, stop) of `table` to the binary file `fh`, CSV_CHUNK_ROWS at a time."""
+def _write_rows(table: DataTable, path, start: int, stop: int) -> None:
+    """Write rows [start, stop) of `table` to the file `path`, CSV_CHUNK_ROWS at a time."""
     columns = [(s, table.array(s.name)) for s in table.schema]
-    for lo in range(start, stop, CSV_CHUNK_ROWS):
-        texts = [_cell_texts(s, arr[lo:min(lo + CSV_CHUNK_ROWS, stop)]) for s, arr in columns]
-        if len(texts) == 1:
-            texts = [[text or '""' for text in texts[0]]]
-        fh.write(("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8"))
-
-
-def _write_rows_to(table: DataTable, path, start: int, stop: int) -> None:
-    """The forked writer's share: rows [start, stop) into a file of their own."""
     with open(path, "wb") as fh:
-        _write_rows(table, fh, start, stop)
+        for lo in range(start, stop, CSV_CHUNK_ROWS):
+            texts = [_cell_texts(s, arr[lo:min(lo + CSV_CHUNK_ROWS, stop)]) for s, arr in columns]
+            if len(texts) == 1:
+                texts = [[text or '""' for text in texts[0]]]
+            fh.write(("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8"))
 
 
 def write_csv(table: DataTable, path) -> None:
@@ -422,11 +438,12 @@ def write_csv(table: DataTable, path) -> None:
     that no line is blank. Header names and category labels are quoted as
     `_field` says; a number never needs quoting.
 
-    Rows are formatted and written CSV_CHUNK_ROWS at a time. With at least
-    MIN_ROWS_FOR_A_WRITER rows and two usable CPUs, a forked child writes the
-    back half of the rows into a temp file beside `path` while this process
-    writes the front half, and then that file is appended. Both ways give the
-    same bytes. An OSError, here or in the child, names `path`.
+    The rows are cut in one part, or in two halves from MIN_ROWS_FOR_A_WRITER
+    rows, and one `parallel.map` call formats each part into a temp file
+    beside `path`, CSV_CHUNK_ROWS rows at a time: in a forked child per part
+    with two usable CPUs, else in this process. The parts are then copied in
+    order after the header. Every schedule gives the same bytes. An OSError,
+    here or in a child, names `path`.
     """
     from . import parallel
     from .ioutil import atomic_output, temp_path_beside
@@ -434,19 +451,16 @@ def write_csv(table: DataTable, path) -> None:
     header = [_field(s.name) for s in table.schema]
     if len(header) == 1:
         header = [header[0] or '""']
-    head = (",".join(header) + "\n").encode("utf-8")
     n = table.n_rows
-    with atomic_output(path) as fh:
-        if n < MIN_ROWS_FOR_A_WRITER or parallel.worker_count(2) < 2:
-            fh.write(head)
-            _write_rows(table, fh, 0, n)
-            return
-        with temp_path_beside(path) as back:
-            # the child forks before anything is written, so it holds no buffered bytes of `fh`
-            with parallel.forked(_write_rows_to, table, back, n // 2, n):
-                fh.write(head)
-                _write_rows(table, fh, 0, n // 2)
-            with open(back, "rb") as part:
+    cuts = [0, n // 2, n] if n >= MIN_ROWS_FOR_A_WRITER else [0, n]
+    with atomic_output(path) as fh, ExitStack() as parts:
+        # the children fork before anything is written, so they hold no buffered bytes of `fh`
+        names = [parts.enter_context(temp_path_beside(path)) for _ in cuts[1:]]
+        parallel.map(_write_rows, [(table, name, lo, hi) for name, lo, hi in zip(names, cuts, cuts[1:])],
+                     parallel.worker_count(len(names)))
+        fh.write((",".join(header) + "\n").encode("utf-8"))
+        for name in names:
+            with open(name, "rb") as part:
                 shutil.copyfileobj(part, fh)
 
 

@@ -232,6 +232,28 @@ def test_schema_with_categories_that_are_not_strings_exits_two_naming_the_column
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("entry, named", [
+    (5, "schema entry 1 must be a JSON object\n"),
+    ({"name": "a"}, "schema entry 1: missing key(s) ['kind']"),
+    ({"name": "a", "kind": "categorical", "categories": 5},
+     "categories must be a list of strings or numbers"),
+    ({"name": "a", "kind": "numeric", "extra": 1}, "unknown key(s) ['extra']"),
+], ids=["number", "no-kind", "categories-number", "unknown-key"])
+def test_schema_entry_that_is_no_column_spec_exits_two_naming_it(tmp_path, capsys, entry, named):
+    data = tmp_path / "input.csv"
+    data.write_text("grp,a\na,1\nb,2\n")
+    schema = tmp_path / "schema.json"
+    grp = {"name": "grp", "kind": "categorical", "categories": ["a", "b"]}
+    schema.write_text(json.dumps([grp, entry]))
+    argv = ["debias", "--input", data, "--schema", schema, "--protected", "grp",
+            "--output", tmp_path / "out.csv", "--epochs", 1]
+    assert _run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("data error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_field_over_the_csv_size_limit_exits_two_naming_the_file(tmp_path, capsys, small_csv):
     big = tmp_path / "big.csv"
     big.write_text("x,y\n" + "a" * 200_000 + ",1\n")
@@ -554,10 +576,10 @@ def test_debias_passes_drop_columns_through(tmp_path):
 def _edited_study(tmp_path, study, edit):
     """Write an edited copy of a bundled study config; returns its path."""
     config = json.loads((STUDIES / f"{study}.json").read_text())
-    edit(config)
     # absolute paths, so the edited copy still finds the schema and the bundled data
     config["schema"] = str((STUDIES / config["schema"]).resolve())
     config["source"]["bundled"] = str((STUDIES / config["source"]["bundled"]).resolve())
+    edit(config)
     path = tmp_path / f"{study}.json"
     path.write_text(json.dumps(config))
     return path
@@ -632,6 +654,28 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c["audit"].update(groups=["femal", "male"]), "'femal'"),
     ("passnyc", lambda c: c["audit"].update(groups=["majority black", "majority whit"]),
      "'majority whit'"),
+    ("heart", lambda c: c.update(name=["x"]), "name"),
+    ("heart", lambda c: c.update(name="../x"), "name"),
+    ("heart", lambda c: c.update(name=""), "name"),
+    ("heart", lambda c: c["source"].update(bundled=5), "bundled"),
+    ("heart", lambda c: c["source"].update(bundle="x.csv"), "bundle"),
+    ("heart", lambda c: c.update(source=["x.csv"]), "source"),
+    ("heart", lambda c: c.update(schema=5), "schema"),
+    ("heart", lambda c: c.pop("schema"), "schema"),
+    ("heart", lambda c: c.update(transforms=5), "transforms"),
+    ("heart", lambda c: c.update(transforms=[5]), "transforms[0]"),
+    ("heart", lambda c: c["transforms"][0].update(op="binarise_threshold"), "binarise_threshold"),
+    ("heart", lambda c: c["transforms"][0].update(strct=True), "strct"),
+    ("heart", lambda c: c["transforms"][0].pop("column"), "column"),
+    ("heart", lambda c: c["transforms"][0].update(threshold="x"), "threshold"),
+    ("heart", lambda c: c["transforms"][0].update(strict=1), "strict"),
+    ("heart", lambda c: c["transforms"][0].update(column=5), "column"),
+    ("heart", lambda c: c.update(transforms=[{"op": "drop_sparse_columns", "k": 1.5}]), "k"),
+    ("heart", lambda c: c.update(transforms=[{"op": "filter_rows", "column": "sex", "keep": 5}]),
+     "keep"),
+    ("heart", lambda c: c.update(transforms=[{"op": "bucket_numeric", "column": "age", "edges": "ab"}]),
+     "edges"),
+    ("heart", lambda c: c.update(transforms=[{"op": "drop_columns", "names": "age"}]), "names"),
 ], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
         "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
         "model-learning-rate", "model-ridge-negative", "model-ridge-type",
@@ -649,7 +693,11 @@ def _edited_study(tmp_path, study, edit):
         "logistic-model-ridge-lambda", "model-kind", "test-fraction-bool", "audit-range-inf-width",
         "audit-range-zero-width", "audit-bins-huge-int", "model-learning-rate-string",
         "debias-encoder-hidden-zero", "debias-adversary-hidden-negative", "audit-groups-absent",
-        "audit-groups-absent-after-labels"])
+        "audit-groups-absent-after-labels", "name-list", "name-path", "name-empty",
+        "source-bundled-number", "source-key", "source-list", "schema-number", "schema-absent",
+        "transforms-number", "step-number", "step-op", "step-key", "step-without-column",
+        "step-threshold-string", "step-strict-int", "step-column-number", "step-k-float",
+        "step-keep-number", "step-edges-string", "step-names-string"])
 def test_run_study_config_typo_exits_two(tmp_path, capsys, monkeypatch, study, edit, named):
     import fairprep.studies as studies
 

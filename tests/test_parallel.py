@@ -1,3 +1,4 @@
+import errno
 import multiprocessing
 import os
 import signal
@@ -19,44 +20,51 @@ def _warns_then_returns(message):
     return "returned"
 
 
-def test_forked_raises_the_childs_error_with_its_type_and_message():
+def _call(fn, *args):
+    return fn(*args)
+
+
+def _raise(error):
+    raise error
+
+
+def test_map_raises_the_childs_error_with_its_type_and_message():
+    missing = FileNotFoundError(errno.ENOENT, "No such file or directory", "in/the/child")
+    with pytest.raises(FileNotFoundError) as raised:
+        parallel.map(_call, [(_raise, missing), (_fails, "failed in the child")], 2)
+    assert (raised.value.errno, raised.value.filename) == (errno.ENOENT, "in/the/child")
     with pytest.raises(DataError, match="^failed in the child$"):
-        with parallel.forked(_fails, "failed in the child"):
-            pass
+        parallel.map(_call, [(abs, -1), (_fails, "failed in the child")], 2)
     assert multiprocessing.active_children() == []
 
 
-def test_forked_re_emits_the_childs_warnings_and_returns_its_value():
-    with pytest.warns(UserWarning, match="warned in the child"):
-        with parallel.forked(_warns_then_returns, "warned in the child") as handle:
-            pass
-    assert handle.result() == "returned"
+def test_map_re_emits_the_childs_warnings_and_returns_its_value():
+    with pytest.warns(UserWarning, match="warned in the child") as record:
+        assert parallel.map(_warns_then_returns, [("warned in the child",)] * 2, 2) == ["returned"] * 2
+    assert [w.filename for w in record] == [__file__] * 2
 
 
-def test_forked_child_sees_the_callers_memory_without_pickling(tmp_path):
-    unpicklable = lambda: None  # noqa: E731 - a lambda cannot be pickled
-    with parallel.forked(lambda path, fn: path.write_text(repr(fn is not None)), tmp_path / "x", unpicklable):
-        pass
-    assert (tmp_path / "x").read_text() == "True"
+def _exits_if_last(x):
+    if x == 2:
+        os._exit(3)
+    return x
 
 
 def test_forked_child_that_dies_without_reporting_is_an_error():
+    # the last child forked dies, after the earlier ones have forked and may have reported
     with pytest.raises(ChildProcessError, match="exited with code 3"):
-        with parallel.forked(os._exit, 3):
-            pass
-
-
-def test_an_error_in_the_block_kills_the_child_and_is_raised():
-    start = time.monotonic()
-    with pytest.raises(RuntimeError, match="block failed"):
-        with parallel.forked(time.sleep, 60):
-            raise RuntimeError("block failed")
-    assert time.monotonic() - start < 30
+        parallel.map(_exits_if_last, [(x,) for x in range(3)], 3)
     assert multiprocessing.active_children() == []
 
 
-# ---------------------------------------------------------------------------
-# map
+@pytest.mark.parametrize("processes", [1, 2])
+def test_map_calls_run_different_functions_through_a_trampoline(processes):
+    calls = [(abs, -3), (_warns_then_returns, "warned"), (divmod, 7, 2), (sorted, "cab")]
+    with pytest.warns(UserWarning, match="^warned$"):
+        assert parallel.map(_call, calls, processes) == [3, "returned", (3, 1), ["a", "b", "c"]]
+    with pytest.raises(DataError, match="^second$"):
+        parallel.map(_call, [(abs, -3), (_fails, "second"), (_fails, "third")], processes)
+    assert multiprocessing.active_children() == []
 
 
 def _square_unless(fails, x):

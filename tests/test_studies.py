@@ -317,9 +317,9 @@ def test_this_process_has_one_thread_when_it_forks_a_worker(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         run_study(_quick_heart(), seeds=[0, 1])
-        # synth_check forks one child to train in and one to probe in, next to this process
+        # synth_check forks two children for each of its two stages
         synth_check(SyntheticSpec(n=300, seed=1), DebiasConfig(seed=1, epochs=2))
-    assert counts == [1, 1, 1, 1]
+    assert counts == [1] * 6
 
 
 def _openblas_threads():

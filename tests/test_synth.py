@@ -199,26 +199,30 @@ def _is_raw(table) -> bool:
     return np.array_equal(table.array("f1"), make_synthetic(QUICK)[0].array("f1"))
 
 
-def _probe_fails_on_the_rewritten_table(table, protected, seed):
-    if not _is_raw(table):
-        raise SchemaError("post-debias probe failed")
-    return 0.75
-
-
-def _fit_fails_on_the_raw_table(table, *args):
-    if _is_raw(table):
-        raise DataError("pre-debias fit failed")
-    return 0.5, 0.5, {}
+def _fails_on(raw: bool, error):
+    """A stage that raises `error` on the raw table (`raw` True), on the rewritten one
+    (False) or on neither (None), and otherwise returns a value of the probe's or the
+    fit's shape."""
+    def stage(table, *args):
+        if _is_raw(table) == raw:
+            raise error
+        return 0.75 if len(args) == 2 else (0.5, 0.5, {})
+    return stage
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_otherwise_the_first_failure_of_a_sequential_run_is_raised(monkeypatch, workers):
-    # a sequential run probes both tables before it fits either
+    # the calls in order: train and rewrite, probe pre, fit pre, probe post, fit post
     _force_workers(monkeypatch, workers)
     cfg = DebiasConfig(seed=8, latent_dim=4, epochs=2)
-    monkeypatch.setattr(synth, "_fit_and_score", _fit_fails_on_the_raw_table)
-    with pytest.raises(DataError, match="pre-debias fit failed"):
-        synth_check(QUICK, cfg)
-    monkeypatch.setattr(synth, "leakage_probe", _probe_fails_on_the_rewritten_table)
-    with pytest.raises(SchemaError, match="post-debias probe failed"):
-        synth_check(QUICK, cfg)
+    probe_fails, fit_fails = SchemaError("probe failed"), DataError("fit failed")
+    for probe_fails_on_raw, fit_fails_on_raw, raised in [
+        (None, True, fit_fails),  # only fit pre fails
+        (False, True, fit_fails),  # fit pre ahead of probe post
+        (True, True, probe_fails),  # probe pre ahead of fit pre
+        (False, False, probe_fails),  # probe post ahead of fit post
+    ]:
+        monkeypatch.setattr(synth, "leakage_probe", _fails_on(probe_fails_on_raw, probe_fails))
+        monkeypatch.setattr(synth, "_fit_and_score", _fails_on(fit_fails_on_raw, fit_fails))
+        with pytest.raises(type(raised), match=f"^{raised}$"):
+            synth_check(QUICK, cfg)

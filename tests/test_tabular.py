@@ -1,6 +1,7 @@
 import csv
 import errno
 import gc
+import json
 import math
 import multiprocessing
 import os
@@ -239,10 +240,10 @@ def _reference_text(table) -> str:
     return oracles.reference_csv_text(table.column_names, rows)
 
 
-def _small_writer(mp, chunk_rows: int, min_rows: int) -> list:
-    """Make `write_csv` cut `chunk_rows`-row chunks and fork a writer from
-    `min_rows` rows, as on two usable CPUs. Returns the list that records each
-    fork made in this process."""
+def _small_writer(mp, chunk_rows: int, min_rows: int, cpus: int = 2) -> list:
+    """Make `write_csv` cut `chunk_rows`-row chunks and two parts from
+    `min_rows` rows, as on `cpus` usable CPUs. Returns the list that records
+    each fork made in this process."""
     forks, fork = [], os.fork
 
     def counted_fork():
@@ -251,21 +252,21 @@ def _small_writer(mp, chunk_rows: int, min_rows: int) -> list:
 
     mp.setattr(tabular, "CSV_CHUNK_ROWS", chunk_rows)
     mp.setattr(tabular, "MIN_ROWS_FOR_A_WRITER", min_rows)
-    mp.setattr(parallel, "worker_count", lambda n_tasks: min(2, n_tasks))
+    mp.setattr(parallel, "worker_count", lambda n_tasks: min(cpus, n_tasks))
     mp.setattr(os, "fork", counted_fork)
     return forks
 
 
-@settings(max_examples=100, deadline=None)  # each forked example starts a process
-@given(_quoting_tables(), st.integers(1, 3), st.integers(0, 4))
-def test_property_write_csv_in_chunks_and_halves_matches_csv_writer(table, chunk_rows, min_rows):
+@settings(max_examples=100, deadline=None)  # each forked example starts two processes
+@given(_quoting_tables(), st.integers(1, 3), st.integers(0, 4), st.integers(1, 2))
+def test_property_write_csv_in_chunks_and_halves_matches_csv_writer(table, chunk_rows, min_rows, cpus):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        forks = _small_writer(mp, chunk_rows, min_rows)
+        forks = _small_writer(mp, chunk_rows, min_rows, cpus)
         path = Path(tmp) / "t.csv"
         write_csv(table, path)
         text = path.read_bytes().decode("utf-8")
         assert os.listdir(tmp) == ["t.csv"]
-    assert len(forks) == (table.n_rows >= min_rows)
+    assert len(forks) == 2 * (table.n_rows >= min_rows and cpus == 2)
     assert text == _reference_text(table)
 
 
@@ -291,7 +292,7 @@ def test_write_csv_forked_edge_cases_match_csv_writer(tmp_path, monkeypatch, sch
     forks = _small_writer(monkeypatch, 4, 0)
     table = DataTable(schema, columns)
     write_csv(table, tmp_path / "t.csv")
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
     assert os.listdir(tmp_path) == ["t.csv"]
 
@@ -313,16 +314,16 @@ def test_a_table_below_the_threshold_forks_no_writer(tmp_path, monkeypatch):
     assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
 
 
-def test_a_table_at_the_threshold_forks_one_writer(tmp_path, monkeypatch):
+def test_a_table_at_the_threshold_forks_two_writers(tmp_path, monkeypatch):
     forks = _small_writer(monkeypatch, tabular.CSV_CHUNK_ROWS, tabular.MIN_ROWS_FOR_A_WRITER)
     table = _wide_table(tabular.MIN_ROWS_FOR_A_WRITER)
     write_csv(table, tmp_path / "t.csv")
-    assert len(forks) == 1
+    assert len(forks) == 2
     assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
 
 
 def _fail_in(monkeypatch, where: str, error: Exception) -> None:
-    """Make `_cell_texts` raise `error` in the writer child, or in the caller."""
+    """Make `_cell_texts` raise `error` in the writer children, or in the caller."""
     caller, cell_texts = os.getpid(), tabular._cell_texts
 
     def failing(spec, arr):
@@ -339,7 +340,8 @@ def _fail_in(monkeypatch, where: str, error: Exception) -> None:
     ("caller", DataError("cell formatting failed")),
 ])
 def test_a_failed_forked_write_raises_and_leaves_the_old_file_alone(tmp_path, monkeypatch, where, error):
-    _small_writer(monkeypatch, 4, 0)
+    # on one usable CPU the parts are formatted in the caller
+    _small_writer(monkeypatch, 4, 0, cpus=1 if where == "caller" else 2)
     _fail_in(monkeypatch, where, error)
     path = tmp_path / "t.csv"
     path.write_bytes(b"old")
@@ -369,7 +371,7 @@ def test_a_warning_in_the_writer_child_reaches_the_caller(tmp_path, monkeypatch)
 
 def test_write_csv_to_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path, monkeypatch):
     (tmp_path / "out.csv").mkdir()
-    for min_rows in (10**9, 0):  # in process, then with a forked writer
+    for min_rows in (10**9, 0):  # in process, then with two forked writers
         _small_writer(monkeypatch, 4, min_rows)
         with pytest.raises(IsADirectoryError) as raised:
             write_csv(_wide_table(20), tmp_path / "out.csv")
@@ -614,6 +616,33 @@ def test_schema_file_round_trip(tmp_path, toy_table):
     p = tmp_path / "schema.json"
     save_schema(toy_table.schema, p)
     assert load_schema(p) == toy_table.schema
+
+
+@pytest.mark.parametrize("entry, message", [
+    (5, r"^schema entry 1 must be a JSON object$"),
+    (["x", "numeric"], r"^schema entry 1 must be a JSON object"),
+    ({"name": "a"}, r"^schema entry 1: missing key\(s\) \['kind'\]$"),
+    ({"kind": "numeric"}, r"^schema entry 1: missing key\(s\) \['name'\]$"),
+    ({"name": 5, "kind": "numeric"}, r"^schema entry 1: name must be a string, got 5$"),
+    ({"name": "c", "kind": "categorical", "categories": 5},
+     r"^schema entry 1 \('c'\): categories must be a list of strings or numbers, got 5$"),
+    ({"name": "c", "kind": "categorical", "categories": "ab"}, r"numbers, got 'ab'$"),
+    ({"name": "c", "kind": "categorical", "categories": [["a"], ["b"]]}, r"numbers, got \[\['a'\], \['b'\]\]$"),
+    ({"name": "a", "kind": "numeric", "extra": 1}, r"^schema entry 1: unknown key\(s\) \['extra'\]"),
+], ids=["number", "list", "no-kind", "no-name", "name-number", "categories-number",
+        "categories-string", "categories-nested", "unknown-key"])
+def test_schema_entry_that_is_no_column_spec_is_named(entry, message):
+    with pytest.raises(SchemaError, match=message):
+        tabular.schema_from_jsonable([{"name": "x", "kind": "numeric"}, entry])
+
+
+def test_bundled_schemas_load_unchanged():
+    paths = sorted((Path(__file__).parent.parent / "data").glob("*.schema.json"))
+    assert len(paths) == 5
+    for path in paths:
+        entries = json.loads(path.read_text())
+        assert tabular.schema_to_jsonable(load_schema(path)) == [dict(e, role=e.get("role", "feature"))
+                                                         for e in entries]
 
 
 # ---------------------------------------------------------------------------
