@@ -2,6 +2,7 @@ import errno
 import multiprocessing
 import os
 import signal
+import threading
 import time
 import warnings
 
@@ -55,6 +56,13 @@ def test_forked_child_that_dies_without_reporting_is_an_error():
     with pytest.raises(ChildProcessError, match="exited with code 3"):
         parallel.map(_exits_if_last, [(x,) for x in range(3)], 3)
     assert multiprocessing.active_children() == []
+
+
+def test_forked_child_sees_the_callers_memory_without_pickling():
+    state = {"lock": threading.Lock()}  # a lock cannot be pickled
+    seen = parallel.map(lambda key: (os.getpid(), key in state), [("lock",)] * 2, 2)
+    assert [found for _, found in seen] == [True, True]
+    assert os.getpid() not in {pid for pid, _ in seen}
 
 
 @pytest.mark.parametrize("processes", [1, 2])
