@@ -159,6 +159,13 @@ def _cmd_debias(args) -> int:
         raise
 
     debiased = transform(model, table)
+    if args.report:  # probed before any file is written, so a failed probe leaves none behind
+        report["leakage_probe_auc"] = {
+            name: {"pre": leakage_probe(table, name, args.seed),
+                   "post": leakage_probe(debiased, name, args.seed)}
+            for name in protected
+        }
+        report["trace"] = asdict(trace)
     output = debiased
     if carried:
         output = DataTable.from_arrays(
@@ -172,14 +179,6 @@ def _cmd_debias(args) -> int:
     if args.trace_csv:
         write_trace_csv(trace, args.trace_csv)
     if args.report:
-        probes = {}
-        for name in protected:
-            probes[name] = {
-                "pre": leakage_probe(table, name, args.seed),
-                "post": leakage_probe(debiased, name, args.seed),
-            }
-        report["leakage_probe_auc"] = probes
-        report["trace"] = asdict(trace)
         write_json(args.report, report)
     return EXIT_OK
 

@@ -51,7 +51,6 @@ from .mlcore import (
 from .tabular import (
     DataError,
     DataTable,
-    DesignMatrix,
     SchemaError,
     apply_encoding,
     decode,
@@ -185,8 +184,8 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
             raise SchemaError(f"protected column {s.name!r} must be categorical or binary")
     names = [s.name for s in protected_specs]
 
-    mat = encode(table)
-    X = mat.values
+    column_map, scaler = encode(table)
+    X = apply_encoding(table, column_map, scaler)
     n, d = X.shape
     if d == 0:
         raise SchemaError("no feature columns to debias")
@@ -207,7 +206,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
     decoder = mlp_init([latent, hidden, d], derive_rng(cfg.seed, "decoder"))
     adversary = mlp_init([latent, adv_hidden, n_classes], derive_rng(cfg.seed, "adversary"))
     st_enc, st_dec, st_adv = adam_init(encoder), adam_init(decoder), adam_init(adversary)
-    recon_blocks = _reconstruction_blocks(mat.column_map)
+    recon_blocks = _reconstruction_blocks(column_map)
     shuffler = derive_rng(cfg.seed, "batches")
     lam = cfg.adversary_weight
 
@@ -266,8 +265,8 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
         encoder,
         decoder,
         adversary,
-        mat.column_map,
-        mat.scaler,
+        column_map,
+        scaler,
         list(table.schema),
         names,
         cfg,
@@ -287,13 +286,16 @@ def _check_schema_match(model: DebiasModel, table: DataTable) -> None:
 
 
 def transform(model: DebiasModel, table: DataTable) -> DataTable:
-    """Rewrite a table through the fitted encoder/decoder; schema and rows preserved."""
+    """Rewrite a table through the fitted encoder/decoder; schema and rows preserved.
+
+    Only the encoder's output is kept, so the design matrix and the encoder's
+    cache are freed before the decoder runs. `decode` takes the protected and
+    target columns from `table`.
+    """
     _check_schema_match(model, table)
-    mat = apply_encoding(table, model.column_map, model.scaler)
-    # only each output is kept, so the encoder's cache is freed before the decoder runs
-    z = mlp_forward(model.encoder, mat.values)[1]
+    z = mlp_forward(model.encoder, apply_encoding(table, model.column_map, model.scaler))[1]
     recon = mlp_forward(model.decoder, z)[1]
-    return decode(DesignMatrix(recon, model.column_map, model.scaler, list(table.schema), mat.carried))
+    return decode(recon, model.column_map, model.scaler, table)
 
 
 def leakage_probe(table: DataTable, protected: str, seed: int) -> float:

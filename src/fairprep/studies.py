@@ -202,6 +202,8 @@ class StudyConfig:
         except ValueError as exc:
             raise SchemaError(f"debias: {exc}") from None
         _check_audit(self.audit)
+        if kind != "logistic" and "stratum_labels" in self.audit:
+            raise SchemaError(f"audit.stratum_labels: a {kind} study has one stratum, 'all'")
         if self.fit_debias_on not in FIT_DEBIAS_ON:
             raise SchemaError(f"fit_debias_on {self.fit_debias_on!r} is not one of {FIT_DEBIAS_ON}")
         if not (isinstance(self.seeds, list) and self.seeds
@@ -288,13 +290,27 @@ def prepare_table(cfg: StudyConfig, table: DataTable) -> DataTable:
         raise SchemaError(f"column {cfg.protected!r} is not role=protected after transforms")
     if table.spec(cfg.target).role != "target":
         raise SchemaError(f"column {cfg.target!r} is not role=target after transforms")
-    # the audit compares these groups on every seed: a name that is no group fails here, untrained
+    # the audit labels and compares these groups on every seed: a label or group that
+    # matches nothing fails here, untrained
+    for key, column in (("group_labels", cfg.protected), ("stratum_labels", cfg.target)):
+        cells = [str(c) for c in table.spec(column).categories]
+        for cell in cfg.audit.get(key, {}):
+            if cell not in cells:
+                raise SchemaError(f"audit.{key} key {cell!r} is not a category of column "
+                                  f"{column!r}; its categories are {cells}")
     group = _group_of(cfg)
-    present = [group(c) for c in table.spec(cfg.protected).categories]
+    categories = table.spec(cfg.protected).categories
+    present = [group(c) for c in categories]
     for name in cfg.audit.get("groups") or ():
         if name not in present:
             raise SchemaError(f"audit.groups {name!r} is not a group of column "
                               f"{cfg.protected!r}; its groups are {present}")
+    if not cfg.audit.get("groups"):
+        codes = set(table.array(cfg.protected).tolist())
+        found = list(dict.fromkeys(group(c) for i, c in enumerate(categories) if i in codes))
+        if len(found) != 2:
+            raise SchemaError(f"audit.groups is absent, so the rows of column {cfg.protected!r} "
+                              f"must fall in exactly two groups; they fall in {found}")
     return table
 
 

@@ -157,6 +157,20 @@ class SynthCheckResult:
         return out
 
 
+def default_debias_config(spec: SyntheticSpec) -> DebiasConfig:
+    """The debiaser `synth_check` trains unless given one, calibrated for proxy removal:
+    full capacity for the fair features, heavy adversary so keeping proxy directions
+    never pays off."""
+    return DebiasConfig(
+        seed=spec.seed,
+        latent_dim=spec.n_features,
+        adversary_weight=6.0,
+        epochs=300,
+        adversary_steps=5,
+        adversary_hidden=max(16, 2 * spec.n_features),
+    )
+
+
 def synth_check(
     spec: SyntheticSpec,
     debias_cfg: DebiasConfig | None = None,
@@ -166,16 +180,7 @@ def synth_check(
     both against the hidden fair labels."""
     table, fair_labels = make_synthetic(spec)
     if debias_cfg is None:
-        # calibrated for proxy removal: full capacity for the fair features,
-        # heavy adversary so keeping proxy directions never pays off
-        debias_cfg = DebiasConfig(
-            seed=spec.seed,
-            latent_dim=spec.n_features,
-            adversary_weight=6.0,
-            epochs=300,
-            adversary_steps=5,
-            adversary_hidden=max(16, 2 * spec.n_features),
-        )
+        debias_cfg = default_debias_config(spec)
     if model_cfg is None:
         model_cfg = TrainConfig()
 

@@ -3,9 +3,11 @@
 A DataTable couples a column schema (name, kind, role, categories) with one
 read-only array per column: float64 with NaN for a missing cell, or integer
 codes into `categories` with -1 for a missing cell. All transforms are pure:
-they return new tables and never mutate their input. `encode`/`decode` bridge
-to a standardized, one-hot design matrix and back, with a reversible column
-map, so a table can make a round trip through any numeric model of its
+they return new tables and never mutate their input. A fitted encoding is two
+tuples, (column_map, scaler): `encode` fits one on a table's feature columns,
+`apply_encoding` makes a table's standardized, one-hot design matrix (an
+ndarray), and `decode` inverts such a matrix, taking every other column from
+the table. So a table can make a round trip through any numeric model of its
 features.
 """
 
@@ -628,36 +630,40 @@ class DesignColumn:
     category: object = None  # None => identity (numeric) column
 
 
-@dataclass
-class DesignMatrix:
-    """Standardized numeric feature block plus everything needed to invert it.
+def encode(table: DataTable):
+    """Fit an encoding on `table`'s feature columns; returns (column_map, scaler).
 
-    `values` holds only role=feature columns; protected and target columns are
-    carried alongside as their stored arrays so decode can reattach them.
+    Numeric columns are standardized with the population standard deviation
+    (constant columns keep std=1; `scaler` holds each design column's (mean,
+    std)); categorical/binary columns become one-hot groups, with a
+    MISSING_CATEGORY column if a cell is missing. Protected and target
+    columns are not encoded.
     """
-
-    values: np.ndarray
-    column_map: tuple
-    scaler: tuple  # per design column (mean, std); (0.0, 1.0) for one-hot columns
-    schema: list
-    carried: dict  # name -> stored array, for each protected and target column
-
-
-def _layout(table: DataTable, fitted_categories: dict):
-    """Expand feature columns into design columns using the fitted vocabularies."""
-    cmap = []
-    for spec in table.schema:
-        if spec.role != "feature":
+    if table.specs_with_role("drop"):
+        names = [s.name for s in table.specs_with_role("drop")]
+        raise SchemaError(f"drop-role columns must be removed before encoding: {names}")
+    column_map = []
+    scaler = []
+    for spec in table.specs_with_role("feature"):
+        if spec.kind != "numeric":
+            missing = (MISSING_CATEGORY,) if table.missing(spec.name).any() else ()
+            column_map += [DesignColumn(spec.name, cat) for cat in spec.categories + missing]
+            scaler += [(0.0, 1.0)] * (len(spec.categories) + len(missing))
             continue
-        if spec.kind == "numeric":
-            cmap.append(DesignColumn(spec.name, None))
-        else:
-            for cat in fitted_categories[spec.name]:
-                cmap.append(DesignColumn(spec.name, cat))
-    return tuple(cmap)
+        observed = table.array(spec.name)[~table.missing(spec.name)]
+        if not observed.size:
+            raise DataError(f"column {spec.name!r}: all cells missing, cannot fit scaler")
+        std = float(np.std(observed))  # population std
+        column_map.append(DesignColumn(spec.name))
+        scaler.append((float(np.mean(observed)), std if std > 0.0 else 1.0))
+    return tuple(column_map), tuple(scaler)
 
 
-def _fill_values(table: DataTable, column_map, scaler) -> np.ndarray:
+def apply_encoding(table: DataTable, column_map, scaler) -> np.ndarray:
+    """The design matrix of `table` under a fitted encoding, as an ndarray.
+
+    A missing numeric cell takes the fitted mean, i.e. 0 after scaling.
+    """
     n = table.n_rows
     values = np.zeros((n, len(column_map)))
     by_source = {}
@@ -668,7 +674,6 @@ def _fill_values(table: DataTable, column_map, scaler) -> np.ndarray:
         if entries[0][1] is None:
             j = entries[0][0]
             mean, std = scaler[j]
-            # missing numeric cells impute to the fitted mean, i.e. 0 after scaling
             values[:, j] = np.where(np.isnan(col), 0.0, (col - mean) / std)
         else:
             cat_to_j = {cat: j for j, cat in entries}
@@ -686,89 +691,45 @@ def _fill_values(table: DataTable, column_map, scaler) -> np.ndarray:
     return values
 
 
-def _carried(table: DataTable) -> dict:
-    return {s.name: table.array(s.name) for s in table.schema if s.role in ("protected", "target")}
-
-
-def encode(table: DataTable) -> DesignMatrix:
-    """Fit an encoding on `table` and apply it.
-
-    Numeric feature columns are standardized with the population standard
-    deviation (constant columns keep std=1); categorical/binary columns become
-    one-hot groups. Protected and target columns are excluded from the feature
-    block and carried alongside.
-    """
-    if table.specs_with_role("drop"):
-        names = [s.name for s in table.specs_with_role("drop")]
-        raise SchemaError(f"drop-role columns must be removed before encoding: {names}")
-    fitted = {}
-    for spec in table.schema:
-        if spec.role == "feature" and spec.kind != "numeric":
-            missing = (MISSING_CATEGORY,) if table.missing(spec.name).any() else ()
-            fitted[spec.name] = spec.categories + missing
-    column_map = _layout(table, fitted)
-    scaler = []
-    for dc in column_map:
-        if dc.category is not None:
-            scaler.append((0.0, 1.0))
-            continue
-        observed = table.array(dc.source)[~table.missing(dc.source)]
-        if not observed.size:
-            raise DataError(f"column {dc.source!r}: all cells missing, cannot fit scaler")
-        mean = float(np.mean(observed))
-        std = float(np.std(observed))  # population std
-        scaler.append((mean, std if std > 0.0 else 1.0))
-    scaler = tuple(scaler)
-    values = _fill_values(table, column_map, scaler)
-    return DesignMatrix(values, column_map, scaler, list(table.schema), _carried(table))
-
-
-def apply_encoding(table: DataTable, column_map, scaler) -> DesignMatrix:
-    """Apply a previously fitted encoding to a new table with the same schema."""
-    values = _fill_values(table, tuple(column_map), tuple(scaler))
-    return DesignMatrix(values, tuple(column_map), tuple(scaler), list(table.schema), _carried(table))
-
-
 def encode_features(table: DataTable, train_idx) -> np.ndarray:
     """Design matrix of the role=feature columns for every row of `table`.
 
     The encoding (one-hot vocabularies and standardization) is fitted on the
     `train_idx` rows only, so test rows never inform it.
     """
-    fitted = encode(table.take_rows(train_idx))
-    return apply_encoding(table, fitted.column_map, fitted.scaler).values
+    return apply_encoding(table, *encode(table.take_rows(train_idx)))
 
 
-def decode(matrix: DesignMatrix) -> DataTable:
-    """Invert a DesignMatrix back to a DataTable with the source schema.
+def decode(values, column_map, scaler, table: DataTable) -> DataTable:
+    """Invert a design matrix of `table`'s rows back to a table with `table`'s schema.
 
     Numeric columns are inverse-standardized; each one-hot group takes its
-    argmax category (lowest index wins ties). Protected and target columns are
-    reattached from the carried arrays.
+    argmax category (lowest index wins ties). Every column that is not a
+    feature (protected, target) is taken from `table` unchanged.
     """
-    values = np.asarray(matrix.values, dtype=float)
-    if values.ndim != 2 or values.shape[1] != len(matrix.column_map):
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or values.shape[1] != len(column_map):
         raise SchemaError(
             f"value matrix has {values.shape[1] if values.ndim == 2 else '?'} columns, "
-            f"column map expects {len(matrix.column_map)}"
+            f"column map expects {len(column_map)}"
         )
     if not np.isfinite(values).all():
         raise DataError("value matrix holds non-finite values")
     groups = {}
-    for j, dc in enumerate(matrix.column_map):
+    for j, dc in enumerate(column_map):
         groups.setdefault(dc.source, []).append(j)
     arrays = {}
-    for spec in matrix.schema:
-        if spec.role in ("protected", "target"):
-            arrays[spec.name] = matrix.carried[spec.name]
+    for spec in table.schema:
+        if spec.role != "feature":
+            arrays[spec.name] = table.array(spec.name)
         elif spec.kind == "numeric":
             j = groups[spec.name][0]
-            mean, std = matrix.scaler[j]
+            mean, std = scaler[j]
             arrays[spec.name] = values[:, j] * std + mean
         else:
             js = groups[spec.name]
             # code of each design column; an unknown category gets an out-of-range code
             codes = {**{c: i for i, c in enumerate(spec.categories)}, MISSING_CATEGORY: -1}
-            lut = np.array([codes.get(matrix.column_map[j].category, len(codes)) for j in js])
+            lut = np.array([codes.get(column_map[j].category, len(codes)) for j in js])
             arrays[spec.name] = lut[np.argmax(values[:, js], axis=1)]
-    return DataTable.from_arrays(matrix.schema, arrays)
+    return DataTable.from_arrays(table.schema, arrays)

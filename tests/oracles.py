@@ -180,11 +180,11 @@ def reference_debias_training(table, cfg):
     """
     from fairprep import debias
     from fairprep.mlcore import derive_rng, mlp_forward, mlp_init
-    from fairprep.tabular import encode
+    from fairprep.tabular import apply_encoding, encode
 
     names = [s.name for s in table.specs_with_role("protected")]
-    mat = encode(table)
-    X = mat.values
+    column_map, scaler = encode(table)
+    X = apply_encoding(table, column_map, scaler)
     n, d = X.shape
     targets, adv_blocks = debias._protected_targets(table, names)
     latent = debias.resolve_latent_dim(cfg, d)
@@ -194,7 +194,7 @@ def reference_debias_training(table, cfg):
     decoder = mlp_init([latent, hidden, d], derive_rng(cfg.seed, "decoder"))
     adversary = mlp_init([latent, adv_hidden, targets.shape[1]], derive_rng(cfg.seed, "adversary"))
     st_enc, st_dec, st_adv = (reference_adam_init(net) for net in (encoder, decoder, adversary))
-    recon_blocks = debias._reconstruction_blocks(mat.column_map)
+    recon_blocks = debias._reconstruction_blocks(column_map)
     shuffler = derive_rng(cfg.seed, "batches")
     lam, lr = cfg.adversary_weight, cfg.learning_rate
 

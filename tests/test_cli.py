@@ -555,6 +555,28 @@ def test_debias_divergence_exits_three_with_partial_report(tmp_path, small_csv, 
     assert payload["trace"]["combined_loss"][-1] == "inf"
 
 
+def test_debias_failed_probe_exits_two_and_writes_no_output(tmp_path, capsys):
+    """A protected category with one row fails the leakage probe's stratified
+    split; the probes run before any file is written, so none is left behind."""
+    rows = ["x1,x2,grp,y"]
+    for i in range(120):
+        grp = "r" if i == 0 else "pq"[i // 2 % 2]
+        rows.append(f"{(i * 37 % 101) / 10:.3f},{(i * 53 % 97) / 25:.3f},{grp},{i % 2}")
+    (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "in.schema.json").write_text(json.dumps([
+        {"name": "x1", "kind": "numeric"},
+        {"name": "x2", "kind": "numeric"},
+        {"name": "grp", "kind": "categorical", "categories": ["p", "q", "r"]},
+        {"name": "y", "kind": "binary", "role": "target"},
+    ]))
+    outputs = {f: tmp_path / f"out{f}" for f in ("--output", "--model-out", "--report", "--trace-csv")}
+    argv = ["debias", "--input", tmp_path / "in.csv", "--schema", tmp_path / "in.schema.json",
+            "--protected", "grp", "--epochs", 5]
+    assert _run(argv + [a for f, path in outputs.items() for a in (f, path)]) == 2
+    assert capsys.readouterr().err == "data error: column 'grp': class 'r' has fewer than 2 rows\n"
+    assert not [path for path in outputs.values() if path.exists()]
+
+
 def test_debias_passes_drop_columns_through(tmp_path):
     out = tmp_path / "compas_debiased.csv"
     report = tmp_path / "report.json"
@@ -676,6 +698,12 @@ def _edited_study(tmp_path, study, edit):
     ("heart", lambda c: c.update(transforms=[{"op": "bucket_numeric", "column": "age", "edges": "ab"}]),
      "edges"),
     ("heart", lambda c: c.update(transforms=[{"op": "drop_columns", "names": "age"}]), "names"),
+    ("heart", lambda c: c["audit"].update(stratum_labels={"O": "healthy", "1": "heart disease"}),
+     "stratum_labels key 'O'"),
+    ("heart", lambda c: c["audit"].update(group_labels={"2": "x"}), "group_labels key '2'"),
+    ("passnyc", lambda c: c["audit"].update(stratum_labels={"0": "zz"}), "stratum_labels"),
+    ("heart", lambda c: c.update(audit={"group_labels": {"female": "x", "male": "x"}}),
+     "audit.groups is absent"),
 ], ids=["top", "model", "debias-key", "debias-seed", "debias-value", "debias-type",
         "audit-key", "audit-on", "fit-debias-on", "model-epochs-type", "model-epochs-value",
         "model-learning-rate", "model-ridge-negative", "model-ridge-type",
@@ -697,7 +725,8 @@ def _edited_study(tmp_path, study, edit):
         "source-bundled-number", "source-key", "source-list", "schema-number", "schema-absent",
         "transforms-number", "step-number", "step-op", "step-key", "step-without-column",
         "step-threshold-string", "step-strict-int", "step-column-number", "step-k-float",
-        "step-keep-number", "step-edges-string", "step-names-string"])
+        "step-keep-number", "step-edges-string", "step-names-string", "stratum-label-key",
+        "group-label-key", "stratum-labels-on-ridge", "groups-absent-one-group"])
 def test_run_study_config_typo_exits_two(tmp_path, capsys, monkeypatch, study, edit, named):
     import fairprep.studies as studies
 

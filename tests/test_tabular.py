@@ -784,59 +784,62 @@ def test_drop_sparse_columns_k_too_large(toy_table):
 
 
 def test_encode_dimensions(toy_table):
-    mat = encode(toy_table)
+    column_map, scaler = encode(toy_table)
     # x (1) + c one-hot (3) + flag one-hot (2); protected and target excluded
-    assert mat.values.shape == (5, 6)
-    assert [(c.source, c.category) for c in mat.column_map] == [
+    assert apply_encoding(toy_table, column_map, scaler).shape == (5, 6)
+    assert [(c.source, c.category) for c in column_map] == [
         ("x", None), ("c", "red"), ("c", "green"), ("c", "blue"), ("flag", 0), ("flag", 1)]
 
 
 def test_encode_standardizes_with_population_std():
     table = DataTable([ColumnSpec("x", "numeric")], {"x": [2.0, 4.0, 6.0]})
-    mat = encode(table)
+    column_map, scaler = encode(table)
     expected = np.array([-1.224744871, 0.0, 1.224744871])
-    assert np.allclose(mat.values[:, 0], expected, atol=1e-9)
-    mean, std = mat.scaler[0]
+    assert np.allclose(apply_encoding(table, column_map, scaler)[:, 0], expected, atol=1e-9)
+    mean, std = scaler[0]
     assert mean == pytest.approx(4.0)
     assert std == pytest.approx(math.sqrt(8.0 / 3.0))
 
 
 def test_encode_constant_column_keeps_unit_std():
     table = DataTable([ColumnSpec("x", "numeric")], {"x": [5.0, 5.0]})
-    mat = encode(table)
-    assert mat.scaler[0] == (5.0, 1.0)
-    assert np.all(mat.values == 0.0)
+    column_map, scaler = encode(table)
+    assert scaler[0] == (5.0, 1.0)
+    assert np.all(apply_encoding(table, column_map, scaler) == 0.0)
 
 
 def test_encode_excludes_protected_and_carries_it(toy_table):
-    mat = encode(toy_table)
-    assert "group" not in {c.source for c in mat.column_map}
-    assert set(mat.carried) == {"group", "y"}
-    assert np.array_equal(mat.carried["group"], toy_table.array("group"))
-    assert np.array_equal(mat.carried["y"], toy_table.array("y"))
+    column_map, scaler = encode(toy_table)
+    assert "group" not in {c.source for c in column_map}
+    # decode takes every column that is not a feature from the table, unchanged
+    zeros = np.zeros((toy_table.n_rows, len(column_map)))
+    back = decode(zeros, column_map, scaler, toy_table)
+    assert {c.source for c in column_map} | {"group", "y"} == set(toy_table.column_names)
+    assert np.array_equal(back.array("group"), toy_table.array("group"))
+    assert np.array_equal(back.array("y"), toy_table.array("y"))
 
 
 def test_encode_one_hot_rows_sum_to_one(toy_table):
-    mat = encode(toy_table)
+    values = apply_encoding(toy_table, *encode(toy_table))
     for cols in (slice(1, 4), slice(4, 6)):
-        assert np.all(mat.values[:, cols].sum(axis=1) == 1.0)
+        assert np.all(values[:, cols].sum(axis=1) == 1.0)
 
 
 def test_encode_missing_numeric_imputes_to_mean():
     table = DataTable([ColumnSpec("x", "numeric")], {"x": [1.0, None, 3.0]})
-    mat = encode(table)
-    assert mat.values[1, 0] == 0.0  # fitted mean in standardized units
-    assert mat.scaler[0][0] == pytest.approx(2.0)
+    column_map, scaler = encode(table)
+    assert apply_encoding(table, column_map, scaler)[1, 0] == 0.0  # fitted mean in standardized units
+    assert scaler[0][0] == pytest.approx(2.0)
 
 
 def test_encode_missing_categorical_gets_its_own_column():
     table = DataTable(
         [ColumnSpec("c", "categorical", categories=("a", "b"))], {"c": ["a", None, "b"]}
     )
-    mat = encode(table)
-    assert [(c.source, c.category) for c in mat.column_map] == [
+    column_map, scaler = encode(table)
+    assert [(c.source, c.category) for c in column_map] == [
         ("c", "a"), ("c", "b"), ("c", "__missing__")]
-    assert mat.values[1].tolist() == [0.0, 0.0, 1.0]
+    assert apply_encoding(table, column_map, scaler)[1].tolist() == [0.0, 0.0, 1.0]
 
 
 def test_encode_rejects_drop_columns():
@@ -844,11 +847,12 @@ def test_encode_rejects_drop_columns():
                       {"junk": [1.0], "x": [2.0]})
     with pytest.raises(SchemaError, match="drop"):
         encode(table)
-    assert encode(drop_columns(table, ["junk"])).values.shape == (1, 1)
+    kept = drop_columns(table, ["junk"])
+    assert apply_encoding(kept, *encode(kept)).shape == (1, 1)
 
 
 def test_apply_encoding_unseen_category_errors(toy_table):
-    mat = encode(toy_table)
+    column_map, scaler = encode(toy_table)
     bigger = DataTable(
         [ColumnSpec("c", "categorical", categories=("red", "green", "blue", "violet"))],
         {"c": ["violet"]},
@@ -858,11 +862,12 @@ def test_apply_encoding_unseen_category_errors(toy_table):
         {**toy_table.columns, "c": ["violet"] * 5},
     )
     with pytest.raises(DataError, match="unseen"):
-        apply_encoding(mixed, mat.column_map, mat.scaler)
+        apply_encoding(mixed, column_map, scaler)
 
 
 def test_decode_round_trip(toy_table):
-    back = decode(encode(toy_table))
+    column_map, scaler = encode(toy_table)
+    back = decode(apply_encoding(toy_table, column_map, scaler), column_map, scaler, toy_table)
     assert [s.name for s in back.schema] == toy_table.column_names
     for name in toy_table.column_names:
         spec = toy_table.spec(name)
@@ -876,25 +881,25 @@ def test_decode_argmax_and_tie_rule():
     table = DataTable(
         [ColumnSpec("c", "categorical", categories=("a", "b", "c"))], {"c": ["a"]}
     )
-    mat = encode(table)
-    mat.values = np.array([[0.2, 0.7, 0.1]])
-    assert decode(mat).column("c") == ["b"]
-    mat.values = np.array([[0.5, 0.5, 0.0]])
-    assert decode(mat).column("c") == ["a"]  # lowest index wins ties
+    column_map, scaler = encode(table)
+    assert decode(np.array([[0.2, 0.7, 0.1]]), column_map, scaler, table).column("c") == ["b"]
+    # lowest index wins ties
+    assert decode(np.array([[0.5, 0.5, 0.0]]), column_map, scaler, table).column("c") == ["a"]
 
 
 def test_decode_rejects_non_finite_values(toy_table):
-    mat = encode(toy_table)
-    mat.values[2, 0] = np.nan
+    column_map, scaler = encode(toy_table)
+    values = apply_encoding(toy_table, column_map, scaler)
+    values[2, 0] = np.nan
     with pytest.raises(DataError, match="non-finite"):
-        decode(mat)
+        decode(values, column_map, scaler, toy_table)
 
 
 def test_decode_dimension_mismatch(toy_table):
-    mat = encode(toy_table)
-    mat.values = mat.values[:, :3]
+    column_map, scaler = encode(toy_table)
+    values = apply_encoding(toy_table, column_map, scaler)[:, :3]
     with pytest.raises(SchemaError, match="column"):
-        decode(mat)
+        decode(values, column_map, scaler, toy_table)
 
 
 @st.composite
@@ -922,14 +927,15 @@ def _tables(draw):
 @settings(max_examples=100)
 @given(_tables())
 def test_property_round_trip_and_one_hot(table):
-    mat = encode(table)
+    column_map, scaler = encode(table)
+    values = apply_encoding(table, column_map, scaler)
     for source in ("c", "f"):  # each row sets one column of each one-hot group, a missing cell its own
-        js = [j for j, dc in enumerate(mat.column_map) if dc.source == source]
-        assert np.array_equal(mat.values[:, js].sum(axis=1), np.ones(table.n_rows))
-    back = decode(mat)
+        js = [j for j, dc in enumerate(column_map) if dc.source == source]
+        assert np.array_equal(values[:, js].sum(axis=1), np.ones(table.n_rows))
+    back = decode(values, column_map, scaler, table)
     x, missing = table.array("x"), table.missing("x")
     assert np.allclose(back.array("x")[~missing], x[~missing], rtol=0.0, atol=1e-9)
-    mean = mat.scaler[[dc.source for dc in mat.column_map].index("x")][0]
+    mean = scaler[[dc.source for dc in column_map].index("x")][0]
     assert mean == np.mean(x[~missing])
     assert np.array_equal(back.array("x")[missing], np.full(missing.sum(), mean))
     # codes, -1 for a missing cell, come back exactly; the protected g and target t are carried
