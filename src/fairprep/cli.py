@@ -33,9 +33,7 @@ from .studies import StudyConfig, run_study
 from .synth import SyntheticSpec, synth_check
 from .tabular import (
     DataError,
-    DataTable,
     SchemaError,
-    drop_columns,
     load_csv,
     load_schema,
     read_csv_columns,
@@ -98,8 +96,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--seeds", type=int, default=None,
                    help="run seeds 0..n-1 instead of the config's seed list")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--offline", action="store_true",
-                   help="accepted and ignored: datasets are never downloaded")
     p.add_argument("--data-dir", default=None,
                    help=f"dataset cache directory (default ${DATA_DIR_ENV})")
 
@@ -136,11 +132,8 @@ def _cmd_debias(args) -> int:
         replace(s, role="protected" if s.name in protected else "feature" if s.role == "protected" else s.role)
         for s in schema
     ]
-    full_table = load_csv(args.input, relabeled)
-    # drop-role columns (ids, free text) stay out of the model but pass through
-    # to the output so the debiased CSV keeps the input header
-    carried = [s.name for s in relabeled if s.role == "drop"]
-    table = drop_columns(full_table, carried) if carried else full_table
+    # drop-role columns (ids, free text) stay out of the model; transform carries them
+    table = load_csv(args.input, relabeled)
 
     cfg = _config(DebiasConfig, args)
     report = {
@@ -166,14 +159,7 @@ def _cmd_debias(args) -> int:
             for name in protected
         }
         report["trace"] = asdict(trace)
-    output = debiased
-    if carried:
-        output = DataTable.from_arrays(
-            full_table.schema,
-            {s.name: (full_table if s.name in carried else debiased).array(s.name)
-             for s in full_table.schema},
-        )
-    write_csv(output, args.output)
+    write_csv(debiased, args.output)
     if args.model_out:
         save_debias_model(model, args.model_out)
     if args.trace_csv:
@@ -295,8 +281,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    # OSError: a missing input, or an output that cannot be written (the writers name its path)
-    except (SchemaError, DataError, OSError, json.JSONDecodeError, KeyError) as exc:
+    # OSError: a missing input, or an output that cannot be written (the writers name its path);
+    # MemoryError: a size option past what this machine can allocate
+    except (SchemaError, DataError, OSError, json.JSONDecodeError, KeyError, MemoryError) as exc:
         sys.stderr.write(f"data error: {exc}\n")
         return EXIT_DATA
     except (TrainingDivergedError, SingularSystemError, np.linalg.LinAlgError) as exc:

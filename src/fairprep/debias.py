@@ -14,10 +14,10 @@ the protected category from the code. Training alternates:
 
 Reconstruction loss is squared error on numeric design columns plus
 cross-entropy on each one-hot group. The debiased dataset is the decoded
-reconstruction in the original schema: protected and target columns pass
-through untouched (they are carried for auditing; downstream modeling
-excludes them anyway), every other column is rewritten so the protected
-characteristic can no longer be recovered from it.
+reconstruction in the original schema: protected, target and drop-role
+columns pass through untouched (downstream modeling excludes them anyway),
+every feature column is rewritten so the protected characteristic can no
+longer be recovered from it.
 """
 
 from __future__ import annotations
@@ -171,8 +171,9 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
     """Fit the encoder/decoder/adversary triple on a table. Returns (model, trace).
 
     Only role=feature columns enter the encoder; the table needs at least one
-    categorical/binary protected column and 50 rows. Fully deterministic for
-    a given (table, cfg).
+    categorical/binary protected column and 50 rows. The model records the
+    table's schema without its drop-role columns, so a table with or without
+    them gives the same model. Fully deterministic for a given (table, cfg).
     """
     if table.n_rows < 50:
         raise DataError(f"need >= 50 rows to train a debiaser, have {table.n_rows}")
@@ -261,24 +262,17 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
                     f"debias training loss became non-finite at epoch {epoch}", epoch, trace
                 )
 
-    model = DebiasModel(
-        encoder,
-        decoder,
-        adversary,
-        column_map,
-        scaler,
-        list(table.schema),
-        names,
-        cfg,
-    )
+    schema = [s for s in table.schema if s.role != "drop"]
+    model = DebiasModel(encoder, decoder, adversary, column_map, scaler, schema, names, cfg)
     return model, trace
 
 
 def _check_schema_match(model: DebiasModel, table: DataTable) -> None:
-    if len(model.schema) != len(table.schema):
+    kept = [s for s in table.schema if s.role != "drop"]  # drop-role columns are never fitted
+    if len(model.schema) != len(kept):
         raise SchemaError("table schema does not match the fitted schema")
-    for a, b in zip(model.schema, table.schema):
-        if (a.name, a.kind, a.role, a.categories) != (b.name, b.kind, b.role, b.categories):
+    for a, b in zip(model.schema, kept):
+        if a != b:
             raise SchemaError(
                 f"column {b.name!r} does not match the fitted schema "
                 f"(fitted {a.name!r}/{a.kind}/{a.role})"
@@ -288,9 +282,11 @@ def _check_schema_match(model: DebiasModel, table: DataTable) -> None:
 def transform(model: DebiasModel, table: DataTable) -> DataTable:
     """Rewrite a table through the fitted encoder/decoder; schema and rows preserved.
 
-    Only the encoder's output is kept, so the design matrix and the encoder's
-    cache are freed before the decoder runs. `decode` takes the protected and
-    target columns from `table`.
+    The table's columns other than drop-role ones must match the fitted
+    schema. Drop-role columns (ids, free text) may be any, fitted or not:
+    `decode` carries them through in place, with the protected and target
+    columns. Only the encoder's output is kept, so the design matrix and the
+    encoder's cache are freed before the decoder runs.
     """
     _check_schema_match(model, table)
     z = mlp_forward(model.encoder, apply_encoding(table, model.column_map, model.scaler))[1]

@@ -336,9 +336,10 @@ def _fit_model(cfg: StudyConfig, X_train, y_train):
     return mlcore.fit_linear(X_train, y_train, float(_ridge_lambda(cfg.model)))
 
 
-def _downstream(cfg: StudyConfig, table: DataTable, seed: int) -> audit_mod.AuditReport:
-    """The downstream pipeline shared verbatim by pre- and post-debias runs."""
-    train_idx, test_idx = split_indices(table, cfg.test_fraction, seed)
+def _downstream(cfg: StudyConfig, table: DataTable, seed: int, split) -> audit_mod.AuditReport:
+    """The downstream pipeline shared verbatim by pre- and post-debias runs,
+    on the seed's (train_idx, test_idx) split."""
+    train_idx, test_idx = split
     X = encode_features(table, train_idx)
     if table.missing(cfg.target).any():
         raise DataError(f"target column {cfg.target!r} has missing cells")
@@ -451,16 +452,17 @@ def _aggregate(cfg: StudyConfig, runs) -> dict:
 
 
 def _run_seed(cfg: StudyConfig, table: DataTable, seed: int) -> StudyRun:
-    """One seed of a study: fit the debiaser, rewrite the table, and run the
-    downstream pipeline on the table before and after."""
-    if cfg.fit_debias_on == "train":
-        train_idx, _ = split_indices(table, cfg.test_fraction, seed)
-        fit_table = table.take_rows(train_idx)
-    else:
-        fit_table = table
+    """One seed of a study: split the rows, fit the debiaser, rewrite the
+    table, and run the downstream pipeline on the table before and after.
+
+    The split is made once, before training, and serves both pipelines: the
+    rewrite keeps the target column the split is stratified on.
+    """
+    split = split_indices(table, cfg.test_fraction, seed)
+    fit_table = table.take_rows(split[0]) if cfg.fit_debias_on == "train" else table
     dmodel, _ = train_debiaser(fit_table, cfg.debias_config(seed))
     debiased = transform(dmodel, table)
-    return StudyRun(seed, _downstream(cfg, table, seed), _downstream(cfg, debiased, seed))
+    return StudyRun(seed, _downstream(cfg, table, seed, split), _downstream(cfg, debiased, seed, split))
 
 
 def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, seeds=None) -> StudyResult:

@@ -636,12 +636,9 @@ def encode(table: DataTable):
     Numeric columns are standardized with the population standard deviation
     (constant columns keep std=1; `scaler` holds each design column's (mean,
     std)); categorical/binary columns become one-hot groups, with a
-    MISSING_CATEGORY column if a cell is missing. Protected and target
-    columns are not encoded.
+    MISSING_CATEGORY column if a cell is missing. Protected, target and
+    drop-role columns are not encoded.
     """
-    if table.specs_with_role("drop"):
-        names = [s.name for s in table.specs_with_role("drop")]
-        raise SchemaError(f"drop-role columns must be removed before encoding: {names}")
     column_map = []
     scaler = []
     for spec in table.specs_with_role("feature"):
@@ -705,7 +702,8 @@ def decode(values, column_map, scaler, table: DataTable) -> DataTable:
 
     Numeric columns are inverse-standardized; each one-hot group takes its
     argmax category (lowest index wins ties). Every column that is not a
-    feature (protected, target) is taken from `table` unchanged.
+    feature (protected, target, drop) is taken from `table` unchanged, in
+    its place.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim != 2 or values.shape[1] != len(column_map):

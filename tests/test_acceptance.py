@@ -310,7 +310,7 @@ def test_criterion_10_byte_identical_reruns(tmp_path):
 
         assert cli.main([
             "run-study", "--config", str(STUDY_DIR / "passnyc.json"), "--seeds", "1",
-            "--offline", "--out", str(out / "study"),
+            "--out", str(out / "study"),
         ]) == 0
         return out
 

@@ -326,7 +326,7 @@ def test_usage_errors_exit_one(tmp_path, capsys, small_csv):
     for seeds in (0, -2):
         capsys.readouterr()
         assert _run(["run-study", "--config", STUDIES / "heart.json", "--seeds", seeds,
-                     "--out", tmp_path / "study", "--offline"]) == 1
+                     "--out", tmp_path / "study"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: --seeds") and err.count("\n") == 1
     assert not (tmp_path / "study").exists()
@@ -334,7 +334,7 @@ def test_usage_errors_exit_one(tmp_path, capsys, small_csv):
 
 def test_run_study_command_and_rerun_idempotence(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    base = ["run-study", "--config", STUDIES / "passnyc.json", "--seeds", 1, "--offline"]
+    base = ["run-study", "--config", STUDIES / "passnyc.json", "--seeds", 1]
     assert _run(base + ["--out", out1]) == 0
     assert _run(base + ["--out", out2]) == 0
     a = (out1 / "passnyc_result.json").read_bytes()
@@ -352,7 +352,7 @@ def test_run_study_missing_config_exits_two(tmp_path):
 def test_run_study_histograms_show_group_shift(tmp_path):
     out = tmp_path / "heart"
     assert _run(["run-study", "--config", STUDIES / "heart.json", "--seeds", 1,
-                 "--offline", "--out", out]) == 0
+                 "--out", out]) == 0
 
     def weighted_means(path):
         with open(path) as fh:
@@ -408,6 +408,21 @@ def test_synth_check_usage_error_prints_no_traceback():
     assert proc.returncode == 1
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: bias_strength") and proc.stderr.count("\n") == 1
+
+
+def test_synth_check_size_past_the_address_space_exits_two_with_one_line(capsys):
+    # 10**15 rows of 6 floats is 42.6 PiB: numpy refuses it before touching any memory
+    assert _run(["synth-check", "--n", 10**15]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: Unable to allocate") and err.count("\n") == 1
+
+
+def test_run_study_offline_is_no_longer_an_option(tmp_path, capsys):
+    assert _run(["run-study", "--config", STUDIES / "heart.json", "--out", tmp_path / "study",
+                 "--offline"]) == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: unrecognized arguments: --offline"]
+    assert not (tmp_path / "study").exists()
 
 
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
@@ -595,6 +610,21 @@ def test_debias_passes_drop_columns_through(tmp_path):
     assert [r[idc] for r in rewritten[1:]] == [r[idc] for r in orig[1:]]
 
 
+def test_debias_output_is_the_saved_model_applied_to_the_whole_input(tmp_path):
+    """The rewritten CSV, drop-role id column included, is what the saved model
+    makes of the input file read with its schema: nothing is spliced in by hand."""
+    from fairprep.debias import load_debias_model, transform
+    from fairprep.tabular import load_csv, load_schema, write_csv
+
+    out, model = tmp_path / "out.csv", tmp_path / "model.json"
+    assert _run(["debias", "--input", DATA / "compas.csv", "--schema", DATA / "compas.schema.json",
+                 "--protected", "race", "--output", out, "--model-out", model, "--epochs", 5]) == 0
+    table = load_csv(DATA / "compas.csv", load_schema(DATA / "compas.schema.json"))
+    assert "drop" in [s.role for s in table.schema]
+    write_csv(transform(load_debias_model(model), table), tmp_path / "reloaded.csv")
+    assert out.read_bytes() == (tmp_path / "reloaded.csv").read_bytes()
+
+
 def _edited_study(tmp_path, study, edit):
     """Write an edited copy of a bundled study config; returns its path."""
     config = json.loads((STUDIES / f"{study}.json").read_text())
@@ -735,7 +765,7 @@ def test_run_study_config_typo_exits_two(tmp_path, capsys, monkeypatch, study, e
 
     monkeypatch.setattr(studies, "train_debiaser", refuse)
     bad = _edited_study(tmp_path, study, edit)
-    assert _run(["run-study", "--config", bad, "--out", tmp_path / "out", "--offline"]) == 2
+    assert _run(["run-study", "--config", bad, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1
     assert named in err
@@ -745,7 +775,7 @@ def test_run_study_config_typo_exits_two(tmp_path, capsys, monkeypatch, study, e
 def test_run_study_out_that_is_a_file_exits_two_with_one_line(tmp_path, capsys):
     short = _edited_study(tmp_path, "heart", lambda c: c["debias"].update(epochs=2))
     (tmp_path / "out").write_text("a file")
-    assert _run(["run-study", "--config", short, "--seeds", 1, "--out", tmp_path / "out", "--offline"]) == 2
+    assert _run(["run-study", "--config", short, "--seeds", 1, "--out", tmp_path / "out"]) == 2
     _only_a_data_error_naming(capsys, tmp_path / "out")
     assert (tmp_path / "out").read_text() == "a file"
 
@@ -758,7 +788,7 @@ def test_run_study_minibatch_divergence_exits_three(tmp_path, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)  # no numpy warning reaches the user
         code = _run(["run-study", "--config", diverging, "--seeds", 1,
-                     "--out", tmp_path / "out", "--offline"])
+                     "--out", tmp_path / "out"])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
@@ -791,7 +821,7 @@ def test_run_study_worker_that_dies_exits_two_with_one_line(tmp_path, capsys, mo
     monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
     monkeypatch.setattr(studies, "train_debiaser", _dies)
     code = _run(["run-study", "--config", STUDIES / "heart.json", "--seeds", 2,
-                 "--out", tmp_path / "out", "--offline"])
+                 "--out", tmp_path / "out"])
     assert code == 2
     assert capsys.readouterr().err == "data error: forked child exited with code 3\n"
     assert not (tmp_path / "out").exists()
@@ -817,7 +847,7 @@ def test_run_study_divergence_in_worker_processes_exits_three(tmp_path, capsys, 
         lambda c: c["debias"].update(learning_rate=1e160, batch_size=30, epochs=2),
     )
     code = _run(["run-study", "--config", diverging, "--seeds", 2,
-                 "--out", tmp_path / "out", "--offline"])
+                 "--out", tmp_path / "out"])
     assert code == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1

@@ -27,6 +27,7 @@ from fairprep.tabular import (
     DataTable,
     SchemaError,
     apply_encoding,
+    drop_columns,
     encode,
 )
 
@@ -203,6 +204,49 @@ def test_transform_rejects_schema_mismatch():
     transform(model, other)  # same schema is fine
     with pytest.raises(SchemaError):
         transform(model, renamed)
+
+
+def with_drop_columns(table):
+    """`table` with a numeric id column first and a categorical note column third, both role=drop."""
+    n = table.n_rows
+    arrays = {s.name: table.array(s.name) for s in table.schema}
+    arrays["id"] = np.arange(n, dtype=float) + 1000.0
+    arrays["note"] = np.arange(n) % 3 - 1  # every code, missing (-1) included
+    schema = [ColumnSpec("id", "numeric", "drop"), *table.schema[:2],
+              ColumnSpec("note", "categorical", "drop", ("x", "y")), *table.schema[2:]]
+    return DataTable.from_arrays(schema, arrays)
+
+
+def test_a_model_fitted_with_drop_columns_saves_the_bytes_of_one_fitted_without(tmp_path):
+    table = copy_dataset(n=120)
+    cfg = DebiasConfig(epochs=20, seed=3)
+    for name, fitted_on in (("bare", table), ("full", with_drop_columns(table))):
+        model, _ = train_debiaser(fitted_on, cfg)
+        assert [s.role for s in model.schema].count("drop") == 0
+        save_debias_model(model, tmp_path / f"{name}.json")
+    assert (tmp_path / "bare.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+
+
+def test_transform_carries_drop_columns_it_never_saw_in_place():
+    table = copy_dataset(n=120)
+    model, _ = train_debiaser(table, DebiasConfig(epochs=20, seed=3))
+    full = with_drop_columns(table)
+    out, bare = transform(model, full), transform(model, table)
+    assert out.schema == full.schema
+    for s in full.schema:
+        expected = full if s.role == "drop" else bare
+        assert out.array(s.name).tolist() == expected.array(s.name).tolist(), s.name
+
+
+def test_transform_still_refuses_a_table_that_lacks_a_fitted_column():
+    table = with_drop_columns(copy_dataset(n=120))
+    model, _ = train_debiaser(table, DebiasConfig(epochs=5, seed=0))
+    lacking = drop_columns(table, ["noise1"])
+    # a fitted column marked drop is no longer there for the model either
+    hidden = table.replace_column(ColumnSpec("noise1", "numeric", "drop"), table.array("noise1"))
+    for other in (lacking, hidden):
+        with pytest.raises(SchemaError, match="^table schema does not match the fitted schema$"):
+            transform(model, other)
 
 
 def test_train_rejects_constant_protected():

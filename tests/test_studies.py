@@ -209,6 +209,28 @@ def _quick_heart(**debias):
     return cfg
 
 
+@pytest.mark.parametrize("fit_debias_on", ["full", "train"])
+def test_a_seed_splits_once_before_training_and_a_failing_split_trains_nothing(
+    monkeypatch, fit_debias_on
+):
+    cfg = _quick_heart()
+    cfg.fit_debias_on = fit_debias_on
+    table = prepare_table(cfg, load_study_table(cfg)[0])
+    splits, trained = [], []
+    split, train = studies.split_indices, studies.train_debiaser
+    monkeypatch.setattr(studies, "split_indices", lambda *a: splits.append(a) or split(*a))
+    monkeypatch.setattr(studies, "train_debiaser", lambda *a: trained.append(a) or train(*a))
+    studies._run_seed(cfg, table, 0)
+    assert (len(splits), len(trained)) == (1, 1)
+    # a single row with heart disease: its class cannot be split
+    sick = table.array("num") == 1
+    one_sick = table.take_rows(np.concatenate([np.flatnonzero(~sick), np.flatnonzero(sick)[:1]]))
+    trained.clear()
+    with pytest.raises(DataError, match="^column 'num': class 1 has fewer than 2 rows$"):
+        studies._run_seed(cfg, one_sick, 0)
+    assert trained == []
+
+
 def _force_workers(monkeypatch, workers):
     # not capped at the task count, so synth_check uses a worker on a small table too
     monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)

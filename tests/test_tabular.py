@@ -842,13 +842,16 @@ def test_encode_missing_categorical_gets_its_own_column():
     assert apply_encoding(table, column_map, scaler)[1].tolist() == [0.0, 0.0, 1.0]
 
 
-def test_encode_rejects_drop_columns():
-    table = DataTable([ColumnSpec("junk", "numeric", "drop"), ColumnSpec("x", "numeric")],
-                      {"junk": [1.0], "x": [2.0]})
-    with pytest.raises(SchemaError, match="drop"):
-        encode(table)
-    kept = drop_columns(table, ["junk"])
-    assert apply_encoding(kept, *encode(kept)).shape == (1, 1)
+def test_encode_skips_drop_columns_and_decode_carries_them():
+    table = DataTable([ColumnSpec("junk", "numeric", "drop"), ColumnSpec("x", "numeric"),
+                       ColumnSpec("tag", "categorical", "drop", ("a", "b"))],
+                      {"junk": [1.0, None], "x": [2.0, 4.0], "tag": ["b", None]})
+    column_map, scaler = encode(table)
+    assert (column_map, scaler) == encode(drop_columns(table, ["junk", "tag"]))
+    assert [c.source for c in column_map] == ["x"]
+    out = decode([[2.0], [-1.0]], column_map, scaler, table)  # x is 3 +- 1 standardized
+    assert out.schema == table.schema
+    assert dict(out.columns) == {"junk": [1.0, None], "x": [5.0, 2.0], "tag": ["b", None]}
 
 
 def test_apply_encoding_unseen_category_errors(toy_table):
