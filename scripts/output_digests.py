@@ -20,10 +20,12 @@ The runs use the checkout this script sits in:
   generated 300-row CSV that has a 3-category protected column, a drop-role
   `id` column and one missing numeric cell;
 - the model that run saved, read back with `load_debias_model`, applied by
-  `transform` to the same input and written with `write_csv`;
-- `train_debiaser` on that input with 64-row mini-batches and a one-column
-  latent code and adversary hidden layer: the model, the trace CSV, and the
-  input rewritten by `transform` and written with `write_csv`;
+  `transform` to the same input, `id` column included, and written with
+  `write_csv`;
+- `train_debiaser` on that input, `id` column included, with 64-row
+  mini-batches and a one-column latent code and adversary hidden layer: the
+  model, the trace CSV, and the input rewritten by `transform` and written
+  with `write_csv`;
 - `fairprep audit --report` on a generated 400-row estimates file;
 - `write_csv` of a generated 25 000-row table, above the row count from which
   it is cut in two halves, each formatted by a forked child on 2 or more
@@ -83,7 +85,7 @@ from fairprep.synth import (  # noqa: E402
     default_debias_config,
     synth_check,
 )
-from fairprep.tabular import ColumnSpec, DataTable, drop_columns, load_csv, write_csv  # noqa: E402
+from fairprep.tabular import ColumnSpec, DataTable, load_csv, write_csv  # noqa: E402
 
 STUDY_NAMES = ["compas", "absenteeism", "heart", "passnyc", "communities"]
 CLI_SCHEMA = [
@@ -218,7 +220,6 @@ def run_all(out: Path) -> None:
             raise SystemExit(f"fairprep {argv[0]} exited {code}")
     model = load_debias_model(cli / "model.json")
     people = load_csv(cli / "people.csv", [ColumnSpec("id", "numeric", "drop"), *model.schema])
-    people = drop_columns(people, ["id"])
     write_csv(transform(model, people), cli / "reloaded.csv")
     narrow, trace = train_debiaser(people, DebiasConfig(latent_dim=1, batch_size=64, epochs=20, seed=5))
     save_debias_model(narrow, cli / "narrow_model.json")

@@ -18,6 +18,10 @@ reconstruction in the original schema: protected, target and drop-role
 columns pass through untouched (downstream modeling excludes them anyway),
 every feature column is rewritten so the protected characteristic can no
 longer be recovered from it.
+
+A fitted `DebiasModel` holds what `transform` reads, and the config; the
+fitted schema's role=protected entries name the protected columns, and the
+adversary is trained and traced but not kept.
 """
 
 from __future__ import annotations
@@ -103,13 +107,13 @@ class TrainingTrace:
 
 @dataclass
 class DebiasModel:
+    """A fitted debiaser: everything `transform` reads, and the config it was trained with."""
+
     encoder: Mlp
     decoder: Mlp
-    adversary: Mlp
     column_map: tuple
     scaler: tuple
     schema: list
-    protected_names: list
     config: DebiasConfig
 
 
@@ -173,7 +177,8 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
     Only role=feature columns enter the encoder; the table needs at least one
     categorical/binary protected column and 50 rows. The model records the
     table's schema without its drop-role columns, so a table with or without
-    them gives the same model. Fully deterministic for a given (table, cfg).
+    them gives the same model. The adversary's loss is in the trace, but the
+    model does not keep it. Fully deterministic for a given (table, cfg).
     """
     if table.n_rows < 50:
         raise DataError(f"need >= 50 rows to train a debiaser, have {table.n_rows}")
@@ -263,8 +268,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
                 )
 
     schema = [s for s in table.schema if s.role != "drop"]
-    model = DebiasModel(encoder, decoder, adversary, column_map, scaler, schema, names, cfg)
-    return model, trace
+    return DebiasModel(encoder, decoder, column_map, scaler, schema, cfg), trace
 
 
 def _check_schema_match(model: DebiasModel, table: DataTable) -> None:
@@ -357,6 +361,7 @@ def _net_from_jsonable(data) -> Mlp:
 
 
 def save_debias_model(model: DebiasModel, path) -> None:
+    """Write the model's six fields to `path` as canonical JSON."""
     from .tabular import schema_to_jsonable
 
     write_json(
@@ -369,34 +374,23 @@ def save_debias_model(model: DebiasModel, path) -> None:
             "scaler": [[m, s] for m, s in model.scaler],
             "encoder": _net_jsonable(model.encoder),
             "decoder": _net_jsonable(model.decoder),
-            "adversary": _net_jsonable(model.adversary),
-            "protected": list(model.protected_names),
             "config": asdict(model.config),
         },
     )
 
 
 def load_debias_model(path) -> DebiasModel:
+    """Read a model file. JSON keeps binary categories as ints and labels as strings, so the
+    column map is taken as written; an older file's `adversary` and `protected` go unread."""
     from .tabular import DesignColumn, schema_from_jsonable
 
     data = read_json(path)
-    schema = schema_from_jsonable(data["schema"])
-    by_name = {s.name: s for s in schema}
-    column_map = []
-    for entry in data["column_map"]:
-        cat = entry["category"]
-        # JSON stringifies nothing here, but binary categories round-trip as ints
-        if cat is not None and by_name[entry["source"]].kind == "binary":
-            cat = int(cat)
-        column_map.append(DesignColumn(entry["source"], cat))
     return DebiasModel(
         encoder=_net_from_jsonable(data["encoder"]),
         decoder=_net_from_jsonable(data["decoder"]),
-        adversary=_net_from_jsonable(data["adversary"]),
-        column_map=tuple(column_map),
+        column_map=tuple(DesignColumn(c["source"], c["category"]) for c in data["column_map"]),
         scaler=tuple((float(m), float(s)) for m, s in data["scaler"]),
-        schema=schema,
-        protected_names=list(data["protected"]),
+        schema=schema_from_jsonable(data["schema"]),
         config=DebiasConfig(**data["config"]),
     )
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import oracles
 
+from fairprep import debias
 from fairprep.debias import (
     DebiasConfig,
     leakage_probe,
@@ -20,8 +21,10 @@ from fairprep.debias import (
     transform,
     write_trace_csv,
 )
-from fairprep.mlcore import TrainingDivergedError, derive_rng
+from fairprep.ioutil import write_json
+from fairprep.mlcore import TrainingDivergedError, derive_rng, mlp_init
 from fairprep.tabular import (
+    MISSING_CATEGORY,
     ColumnSpec,
     DataError,
     DataTable,
@@ -29,6 +32,7 @@ from fairprep.tabular import (
     apply_encoding,
     drop_columns,
     encode,
+    write_csv,
 )
 
 
@@ -298,7 +302,13 @@ def multi_protected_table():
 def test_multi_protected_columns_train_and_transform():
     table = multi_protected_table()
     model, _ = train_debiaser(table, DebiasConfig(adversary_weight=2.0, epochs=100, seed=0))
-    assert model.adversary.dims[-1] == 2 + 3  # concatenated class blocks
+    # the fitted schema names the protected columns; the adversary's targets are their
+    # concatenated class blocks, one softmax head each
+    assert [s.name for s in model.schema if s.role == "protected"] == ["ga", "gb"]
+    targets, heads = debias._protected_targets(table, ["ga", "gb"])
+    assert targets.shape == (table.n_rows, 2 + 3)
+    assert [cols for cols, _ in heads] == [slice(0, 2), slice(2, 5)]
+    assert (targets[:, :2].sum(axis=1) == 1).all() and (targets[:, 2:].sum(axis=1) == 1).all()
     out = transform(model, table)
     assert out.column("ga") == table.column("ga")
     assert out.column("gb") == table.column("gb")
@@ -346,6 +356,40 @@ def test_model_serialization_round_trip(tmp_path):
     out_a = transform(model, table)
     out_b = transform(loaded, table)
     assert out_a.columns == out_b.columns
+    # a saved model holds what transform reads, and the config as provenance
+    assert sorted(json.loads(path.read_text())) == [
+        "column_map", "config", "decoder", "encoder", "scaler", "schema"]
+
+
+def test_a_model_fitted_with_a_missing_binary_cell_saves_loads_and_transforms(tmp_path):
+    # the binary feature's one missing cell gets its own design column, named by a string
+    table = copy_dataset(n=120)
+    arrays = {s.name: table.array(s.name) for s in table.schema}
+    arrays["flag"] = np.where(np.arange(120) == 7, -1, np.arange(120) // 5 % 2)
+    table = DataTable.from_arrays([ColumnSpec("flag", "binary"), *table.schema], arrays)
+    model, _ = train_debiaser(table, DebiasConfig(epochs=3, seed=0))
+    assert [c.category for c in model.column_map if c.source == "flag"] == [0, 1, MISSING_CATEGORY]
+    save_debias_model(model, tmp_path / "model.json")
+    loaded = load_debias_model(tmp_path / "model.json")
+    assert loaded.column_map == model.column_map
+    write_csv(transform(model, table), tmp_path / "in_memory.csv")
+    write_csv(transform(loaded, table), tmp_path / "loaded.csv")
+    assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+
+
+def test_a_model_file_with_the_retired_adversary_and_protected_entries_still_loads(tmp_path):
+    table = copy_dataset(n=120)
+    model, _ = train_debiaser(table, DebiasConfig(epochs=5, seed=1))
+    save_debias_model(model, tmp_path / "model.json")
+    data = json.loads((tmp_path / "model.json").read_text())
+    # the older format also saved the adversary net and the protected column names
+    latent = model.encoder.dims[-1]
+    adversary = mlp_init([latent, latent, 2], derive_rng(1, "adversary"))
+    write_json(tmp_path / "old.json", {
+        **data, "adversary": debias._net_jsonable(adversary), "protected": ["group"]})
+    write_csv(transform(model, table), tmp_path / "in_memory.csv")
+    write_csv(transform(load_debias_model(tmp_path / "old.json"), table), tmp_path / "old.csv")
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
 
 
 def test_saved_model_with_a_wrong_length_bias_does_not_load(tmp_path):
@@ -369,9 +413,9 @@ def test_saved_model_with_another_activation_does_not_load(tmp_path, hidden, out
     save_debias_model(model, path)
     data = json.loads(path.read_text())
     # every net is written tanh-hidden, identity-output: the two keys are fixed format values
-    for net in ("encoder", "decoder", "adversary"):
+    for net in ("encoder", "decoder"):
         assert (data[net]["hidden_activation"], data[net]["output_activation"]) == ("tanh", "identity")
-    data["adversary"].update(hidden_activation=hidden, output_activation=output)
+    data["encoder"].update(hidden_activation=hidden, output_activation=output)
     path.write_text(json.dumps(data))
     key, bad = ("hidden_activation", hidden) if hidden != "tanh" else ("output_activation", output)
     with pytest.raises(SchemaError, match=f"'{key}' must be .*, got '{bad}'"):
@@ -468,8 +512,9 @@ def three_category_table(n=230):
 def test_training_matches_the_plain_reference_loop_bit_for_bit(make_table, cfg):
     table = make_table()
     model, trace = train_debiaser(table, cfg)
-    *ref_nets, ref_trace = oracles.reference_debias_training(table, cfg)
-    for net, ref in zip((model.encoder, model.decoder, model.adversary), ref_nets):
+    ref_encoder, ref_decoder, _, ref_trace = oracles.reference_debias_training(table, cfg)
+    # the adversary is not kept; its per-epoch loss in the trace pins its trajectory
+    for net, ref in ((model.encoder, ref_encoder), (model.decoder, ref_decoder)):
         for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
             assert np.array_equal(got, want)
     assert trace.reconstruction_loss == ref_trace.reconstruction_loss
