@@ -13,9 +13,8 @@ The runs use the checkout this script sits in:
   and passnyc with its `model` cut to `{"kind": "ridge"}` and no `bins` or
   `range`;
 - `synth_check(SyntheticSpec(n=2000, seed=3))`, written as its report JSON;
-- `synth_check` at `synth.MIN_ROWS_FOR_A_WORKER` rows, seed 4, with its default
-  debiaser cut to 20 epochs: the smallest table it runs in two forked
-  children per stage on 2 or more CPUs, written as its report JSON;
+- `synth_check(SyntheticSpec(n=5000, seed=4))` with its default debiaser cut
+  to 20 epochs, which pins a 5000-row report, written as its report JSON;
 - `fairprep debias` with `--report`, `--model-out` and `--trace-csv` on a
   generated 300-row CSV that has a 3-category protected column, a drop-role
   `id` column and one missing numeric cell;
@@ -79,12 +78,7 @@ from fairprep.debias import (  # noqa: E402
 )
 from fairprep.ioutil import write_json  # noqa: E402
 from fairprep.studies import StudyConfig, run_study  # noqa: E402
-from fairprep.synth import (  # noqa: E402
-    MIN_ROWS_FOR_A_WORKER,
-    SyntheticSpec,
-    default_debias_config,
-    synth_check,
-)
+from fairprep.synth import SyntheticSpec, default_debias_config, synth_check  # noqa: E402
 from fairprep.tabular import ColumnSpec, DataTable, load_csv, write_csv  # noqa: E402
 
 STUDY_NAMES = ["compas", "absenteeism", "heart", "passnyc", "communities"]
@@ -200,9 +194,9 @@ def run_all(out: Path) -> None:
         run_study(cfg, out_dir=out / "studies", seeds=[0, 1])
     _run_variants(out)
     write_json(out / "synth_n2000_seed3.json", synth_check(SyntheticSpec(n=2000, seed=3)).to_jsonable())
-    forked = SyntheticSpec(n=MIN_ROWS_FOR_A_WORKER, seed=4)
-    write_json(out / f"synth_n{forked.n}_seed4.json",
-               synth_check(forked, replace(default_debias_config(forked), epochs=20)).to_jsonable())
+    spec = SyntheticSpec(n=5000, seed=4)
+    write_json(out / "synth_n5000_seed4.json",
+               synth_check(spec, replace(default_debias_config(spec), epochs=20)).to_jsonable())
 
     cli = out / "cli"
     cli.mkdir()

@@ -124,6 +124,9 @@ def _cmd_debias(args) -> int:
     protected = [s.strip() for s in args.protected.split(",") if s.strip()]
     if not protected:
         raise _UsageError("--protected needs at least one column name")
+    for i, name in enumerate(protected):
+        if name in protected[:i]:
+            raise _UsageError(f"--protected names {name!r} twice")
     names = {s.name for s in schema}
     for name in protected:
         if name not in names:

@@ -9,9 +9,8 @@ its value and are re-emitted through this process's filters. `map` is the one
 way work forks: it deals calls out over several children while the caller
 waits, or makes them in this process with one, so a caller writes its
 schedule once and gets the same values, warnings and first error either way.
-Calls to different functions go through a trampoline whose first argument
-is the function to call. `worker_count` gives the usable CPUs, which is 1 off
-Linux.
+Its two users are `run_study`'s seeds and the two halves of a large
+`write_csv`. `worker_count` gives the usable CPUs, which is 1 off Linux.
 """
 
 from __future__ import annotations

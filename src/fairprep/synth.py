@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import mlcore, parallel
+from . import mlcore
 from .debias import DebiasConfig, leakage_probe, train_debiaser, transform
 from .mlcore import TrainConfig, check_count, check_finite, check_seed, derive_rng, sigmoid
 from .tabular import ColumnSpec, DataError, DataTable, encode_features, split_indices
@@ -23,12 +23,6 @@ from . import audit as audit_mod
 
 PROTECTED_COLUMN = "group"
 TARGET_COLUMN = "outcome"
-
-# Below this many rows the probe and fits that overlap training take about as long as
-# forked workers cost to start, feed and stop, so `synth_check` makes every call in this
-# process. Measured on a 2-vCPU VM: at 2000 rows the two schedules took the same time,
-# at 5000 rows (30 epochs) the worker saved 8% and at 10 000 rows 13%.
-MIN_ROWS_FOR_A_WORKER = 5000
 
 
 @dataclass(frozen=True)
@@ -121,22 +115,6 @@ def _fit_and_score(table: DataTable, fair_labels, seed: int, model_cfg: TrainCon
     return observed_acc, fair_acc, report.bias_table.scores()
 
 
-def _debiased(table: DataTable, debias_cfg: DebiasConfig) -> DataTable:
-    """The table rewritten by a debiaser trained on it."""
-    dmodel, _ = train_debiaser(table, debias_cfg)
-    return transform(dmodel, table)
-
-
-def _probe_and_fit(table: DataTable, fair_labels, seed: int, model_cfg: TrainConfig):
-    """The leakage probe's AUC on `table`, then `_fit_and_score` on it."""
-    auc = leakage_probe(table, PROTECTED_COLUMN, seed)
-    return auc, _fit_and_score(table, fair_labels, seed, model_cfg)
-
-
-def _call(fn, *args):
-    return fn(*args)
-
-
 @dataclass
 class SynthCheckResult:
     spec: SyntheticSpec
@@ -177,26 +155,24 @@ def synth_check(
     model_cfg: TrainConfig | None = None,
 ) -> SynthCheckResult:
     """Train the same downstream model on biased vs debiased data and compare
-    both against the hidden fair labels."""
+    both against the hidden fair labels.
+
+    Five calls, one after another in this process: train a debiaser and rewrite
+    the table, probe the raw table, fit and score it, probe the rewritten table,
+    fit and score it. The first of them to fail raises its error, and every
+    warning they raise reaches the caller's filters."""
     table, fair_labels = make_synthetic(spec)
     if debias_cfg is None:
         debias_cfg = default_debias_config(spec)
     if model_cfg is None:
         model_cfg = TrainConfig()
 
-    # With two usable CPUs and a large enough table, two forked children run each stage:
-    # one trains and rewrites while the other probes and fits the raw table, then one
-    # probes the rewritten table while the other fits it. Otherwise `parallel.map` makes
-    # the same calls here, in order. Every call is seeded and self-contained, so the
-    # results are the same bits either way, and the error raised is the first in call
-    # order: train and rewrite, probe pre, fit pre, probe post, fit post.
-    processes = parallel.worker_count(2 if table.n_rows >= MIN_ROWS_FOR_A_WORKER else 1)
-    debiased, (auc_pre, (obs_pre, fair_pre, bias_pre)) = parallel.map(_call, [
-        (_debiased, table, debias_cfg),
-        (_probe_and_fit, table, fair_labels, spec.seed, model_cfg)], processes)
-    auc_post, (obs_post, fair_post, bias_post) = parallel.map(_call, [
-        (leakage_probe, debiased, PROTECTED_COLUMN, spec.seed),
-        (_fit_and_score, debiased, fair_labels, spec.seed, model_cfg)], processes)
+    dmodel, _ = train_debiaser(table, debias_cfg)
+    debiased = transform(dmodel, table)
+    auc_pre = leakage_probe(table, PROTECTED_COLUMN, spec.seed)
+    obs_pre, fair_pre, bias_pre = _fit_and_score(table, fair_labels, spec.seed, model_cfg)
+    auc_post = leakage_probe(debiased, PROTECTED_COLUMN, spec.seed)
+    obs_post, fair_post, bias_post = _fit_and_score(debiased, fair_labels, spec.seed, model_cfg)
 
     return SynthCheckResult(
         spec=spec,

@@ -282,6 +282,19 @@ def test_audit_group_pair_naming_one_group_twice_exits_one(tmp_path, capsys):
         )
 
 
+def test_debias_protected_naming_one_column_twice_exits_one(tmp_path, capsys, small_csv):
+    csv_path, schema_path = small_csv
+    for names in ("grp,grp", "grp, grp", "proxy,grp,proxy"):
+        capsys.readouterr()
+        assert _run(["debias", "--input", csv_path, "--schema", schema_path, "--protected", names,
+                     "--output", tmp_path / "out.csv", "--report", tmp_path / "report.json",
+                     "--epochs", 1]) == 1
+        out, err = capsys.readouterr()
+        named = names.split(",")[0]
+        assert out == "" and err == f"error: --protected names {named!r} twice\n"
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("options, named", [
     (["--bins", "0"], "bins must be >= 1"),
     (["--bins=-3"], "bins must be >= 1"),
@@ -825,17 +838,6 @@ def test_run_study_worker_that_dies_exits_two_with_one_line(tmp_path, capsys, mo
     assert code == 2
     assert capsys.readouterr().err == "data error: forked child exited with code 3\n"
     assert not (tmp_path / "out").exists()
-
-
-def test_synth_check_worker_that_dies_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
-    import fairprep.parallel as parallel
-    import fairprep.synth as synth
-
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
-    monkeypatch.setattr(synth, "train_debiaser", _dies)
-    assert _run(["synth-check", "--n", 600, "--report", tmp_path / "synth.json"]) == 2
-    assert capsys.readouterr().err == "data error: forked child exited with code 3\n"
-    assert not (tmp_path / "synth.json").exists()
 
 
 def test_run_study_divergence_in_worker_processes_exits_three(tmp_path, capsys, monkeypatch):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from fairprep import parallel, studies
-from fairprep.debias import DebiasConfig, TrainingTrace
+from fairprep.debias import TrainingTrace
 from fairprep.ioutil import canonical_json
 from fairprep.mlcore import SingularSystemError, TrainingDivergedError
 from fairprep.studies import (
@@ -20,7 +20,6 @@ from fairprep.studies import (
     prepare_table,
     run_study,
 )
-from fairprep.synth import SyntheticSpec, synth_check
 from fairprep.tabular import DataError, SchemaError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -232,7 +231,6 @@ def test_a_seed_splits_once_before_training_and_a_failing_split_trains_nothing(
 
 
 def _force_workers(monkeypatch, workers):
-    # not capped at the task count, so synth_check uses a worker on a small table too
     monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
 
 
@@ -339,9 +337,7 @@ def test_this_process_has_one_thread_when_it_forks_a_worker(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         run_study(_quick_heart(), seeds=[0, 1])
-        # synth_check forks two children for each of its two stages
-        synth_check(SyntheticSpec(n=300, seed=1), DebiasConfig(seed=1, epochs=2))
-    assert counts == [1] * 6
+    assert counts == [1] * 2
 
 
 def _openblas_threads():

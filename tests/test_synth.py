@@ -1,7 +1,6 @@
 import json
 import math
 import os
-import struct
 
 import numpy as np
 import pytest
@@ -120,59 +119,32 @@ def test_synth_check_directional_improvements():
 
 
 def test_synth_check_jsonable():
-    import json
-
     spec = SyntheticSpec(n=600, seed=8)
     json.dumps(synth_check(spec).to_jsonable())
 
 
 # ---------------------------------------------------------------------------
-# the debiaser in a worker process
+# the five calls, in this process
 
 
 QUICK = SyntheticSpec(n=600, seed=8)
 DIVERGING = DebiasConfig(seed=8, learning_rate=1e160, batch_size=30, epochs=3)
 
 
-def _force_workers(monkeypatch, workers):
-    # not capped at the task count, so a table below MIN_ROWS_FOR_A_WORKER uses the worker too
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
+def test_synth_check_forks_no_process_even_with_two_cpus(monkeypatch):
+    fork, forks = os.fork, []
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    synth_check(SyntheticSpec(n=5000, seed=8), DebiasConfig(seed=8, latent_dim=4, epochs=2))
+    assert forks == []
 
 
-def _float_bits(value):
-    """Every float in a nested structure, as its IEEE-754 bytes, in a fixed order."""
-    if isinstance(value, float):
-        return [struct.pack("<d", value)]
-    if isinstance(value, dict):
-        return [b for key in sorted(value, key=str) for b in _float_bits(value[key])]
-    if isinstance(value, (list, tuple)):
-        return [b for item in value for b in _float_bits(item)]
-    return []
-
-
-def test_synth_check_gives_the_same_bits_in_a_worker_and_in_process(monkeypatch):
-    results = []
-    for workers in (2, 1):
-        _force_workers(monkeypatch, workers)
-        results.append(synth_check(SyntheticSpec(n=1200, seed=6)).to_jsonable())
-    in_worker, in_process = results
-    assert json.dumps(in_worker, sort_keys=True) == json.dumps(in_process, sort_keys=True)
-    assert len(_float_bits(in_worker)) >= 8
-    assert _float_bits(in_worker) == _float_bits(in_process)
-
-
-def test_a_small_table_forks_no_worker(monkeypatch):
-    def refuse():
-        raise AssertionError("forked a worker for a small table")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    assert QUICK.n < synth.MIN_ROWS_FOR_A_WORKER
-    synth_check(QUICK, DebiasConfig(seed=8, latent_dim=4, epochs=2))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_training_warning_reaches_the_callers_filters(monkeypatch, workers):
-    _force_workers(monkeypatch, workers)
+def test_a_training_warning_reaches_the_callers_filters():
     with pytest.warns(UserWarning, match="latent_dim 500") as record:
         synth_check(QUICK, DebiasConfig(seed=8, latent_dim=500, epochs=2))
     latent = [w for w in record if "latent_dim" in str(w.message)]
@@ -184,9 +156,7 @@ def _fails_on_any_table(table, *args):
     raise DataError(f"caller-side stage failed on {table.n_rows} rows")
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_diverging_debiaser_is_raised_ahead_of_any_caller_side_error(monkeypatch, workers):
-    _force_workers(monkeypatch, workers)
+def test_a_diverging_debiaser_is_raised_ahead_of_any_caller_side_error(monkeypatch):
     monkeypatch.setattr(synth, "leakage_probe", _fails_on_any_table)
     monkeypatch.setattr(synth, "_fit_and_score", _fails_on_any_table)
     with pytest.raises(TrainingDivergedError, match="non-finite") as err:
@@ -210,10 +180,8 @@ def _fails_on(raw: bool, error):
     return stage
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_otherwise_the_first_failure_of_a_sequential_run_is_raised(monkeypatch, workers):
+def test_otherwise_the_first_failure_of_a_sequential_run_is_raised(monkeypatch):
     # the calls in order: train and rewrite, probe pre, fit pre, probe post, fit post
-    _force_workers(monkeypatch, workers)
     cfg = DebiasConfig(seed=8, latent_dim=4, epochs=2)
     probe_fails, fit_fails = SchemaError("probe failed"), DataError("fit failed")
     for probe_fails_on_raw, fit_fails_on_raw, raised in [
