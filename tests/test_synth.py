@@ -131,6 +131,11 @@ QUICK = SyntheticSpec(n=600, seed=8)
 DIVERGING = DebiasConfig(seed=8, learning_rate=1e160, batch_size=30, epochs=3)
 
 
+def _force_workers(monkeypatch, workers):
+    # synth_check must make the same calls in the same order whatever CPU count it is offered
+    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
+
+
 def test_synth_check_forks_no_process_even_with_two_cpus(monkeypatch):
     fork, forks = os.fork, []
 
@@ -138,13 +143,15 @@ def test_synth_check_forks_no_process_even_with_two_cpus(monkeypatch):
         forks.append(os.getpid())
         return fork()
 
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
+    _force_workers(monkeypatch, 2)
     monkeypatch.setattr(os, "fork", counted_fork)
     synth_check(SyntheticSpec(n=5000, seed=8), DebiasConfig(seed=8, latent_dim=4, epochs=2))
     assert forks == []
 
 
-def test_a_training_warning_reaches_the_callers_filters():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_training_warning_reaches_the_callers_filters(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
     with pytest.warns(UserWarning, match="latent_dim 500") as record:
         synth_check(QUICK, DebiasConfig(seed=8, latent_dim=500, epochs=2))
     latent = [w for w in record if "latent_dim" in str(w.message)]
@@ -156,7 +163,9 @@ def _fails_on_any_table(table, *args):
     raise DataError(f"caller-side stage failed on {table.n_rows} rows")
 
 
-def test_a_diverging_debiaser_is_raised_ahead_of_any_caller_side_error(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_diverging_debiaser_is_raised_ahead_of_any_caller_side_error(monkeypatch, workers):
+    _force_workers(monkeypatch, workers)
     monkeypatch.setattr(synth, "leakage_probe", _fails_on_any_table)
     monkeypatch.setattr(synth, "_fit_and_score", _fails_on_any_table)
     with pytest.raises(TrainingDivergedError, match="non-finite") as err:
@@ -180,8 +189,10 @@ def _fails_on(raw: bool, error):
     return stage
 
 
-def test_otherwise_the_first_failure_of_a_sequential_run_is_raised(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_otherwise_the_first_failure_of_a_sequential_run_is_raised(monkeypatch, workers):
     # the calls in order: train and rewrite, probe pre, fit pre, probe post, fit post
+    _force_workers(monkeypatch, workers)
     cfg = DebiasConfig(seed=8, latent_dim=4, epochs=2)
     probe_fails, fit_fails = SchemaError("probe failed"), DataError("fit failed")
     for probe_fails_on_raw, fit_fails_on_raw, raised in [
