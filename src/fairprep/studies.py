@@ -472,9 +472,8 @@ def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, seeds=None) -> Stud
         raise ValueError("run_study needs at least one seed")
     table, source_info = load_study_table(cfg, data_dir=data_dir)
     table = prepare_table(cfg, table)
-    # one forked child per seed and usable CPU; with one, the seeds run in this process
-    runs = parallel.map(_run_seed, [(cfg, table, seed) for seed in seeds],
-                        parallel.worker_count(len(seeds)))
+    # with w usable CPUs, this process runs seeds 0, w, 2w, ... and a forked child each other share
+    runs = parallel.map(_run_seed, [(cfg, table, seed) for seed in seeds])
     effective = dict(cfg.raw, seeds=seeds)
     result = StudyResult(cfg.name, cfg.digest(), effective, source_info, runs, _aggregate(cfg, runs))
     if out_dir is not None:

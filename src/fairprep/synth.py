@@ -152,7 +152,6 @@ def default_debias_config(spec: SyntheticSpec) -> DebiasConfig:
 def synth_check(
     spec: SyntheticSpec,
     debias_cfg: DebiasConfig | None = None,
-    model_cfg: TrainConfig | None = None,
 ) -> SynthCheckResult:
     """Train the same downstream model on biased vs debiased data and compare
     both against the hidden fair labels.
@@ -160,12 +159,12 @@ def synth_check(
     Five calls, one after another in this process: train a debiaser and rewrite
     the table, probe the raw table, fit and score it, probe the rewritten table,
     fit and score it. The first of them to fail raises its error, and every
-    warning they raise reaches the caller's filters."""
+    warning they raise reaches the caller's filters. Both fits use the default
+    `TrainConfig()`, which the report keeps as `model_config`."""
     table, fair_labels = make_synthetic(spec)
     if debias_cfg is None:
         debias_cfg = default_debias_config(spec)
-    if model_cfg is None:
-        model_cfg = TrainConfig()
+    model_cfg = TrainConfig()
 
     dmodel, _ = train_debiaser(table, debias_cfg)
     debiased = transform(dmodel, table)

@@ -306,7 +306,7 @@ def _checked_csv(path) -> tuple:
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             text = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
@@ -343,7 +343,9 @@ def _take_columns(lines: list, width: int, n=None) -> list:
 def read_csv_columns(path) -> tuple:
     """The header of a UTF-8 CSV file and one list of cell strings per header column.
 
-    Blank lines are skipped, as `csv.DictReader` skips them. A missing file is
+    A leading UTF-8 byte-order mark, which Excel's "CSV UTF-8" export writes,
+    is not part of the first header name. Blank lines are skipped, as
+    `csv.DictReader` skips them. A missing file is
     a FileNotFoundError; an empty file, bytes that are not UTF-8, a field over
     `csv.field_size_limit()`, or a row whose cell count differs from the
     header's is a DataError naming the file.
@@ -415,10 +417,10 @@ def _cell_texts(spec: ColumnSpec, arr) -> list:
 #: time, so neither the cell strings nor the text of the whole table exist at once
 CSV_CHUNK_ROWS = 8192
 
-#: rows from which `write_csv` cuts a table in two parts, formatted by two
-#: forked children where two CPUs are usable. On a 2-CPU box with a 300 MB caller, an 11-column table
-#: broke even at about 4000 rows; at 10 000 rows the forked write took 0.056 s
-#: against 0.080 s
+#: rows from which `write_csv` cuts a table in two parts, formatted at once by
+#: this process and a forked child where two CPUs are usable. On a 2-CPU box
+#: with a 300 MB caller, an 11-column table broke even at about 4000 rows; at
+#: 10 000 rows the forked write took 0.056 s against 0.080 s
 MIN_ROWS_FOR_A_WRITER = 10_000
 
 
@@ -442,10 +444,11 @@ def write_csv(table: DataTable, path) -> None:
 
     The rows are cut in one part, or in two halves from MIN_ROWS_FOR_A_WRITER
     rows, and one `parallel.map` call formats each part into a temp file
-    beside `path`, CSV_CHUNK_ROWS rows at a time: in a forked child per part
-    with two usable CPUs, else in this process. The parts are then copied in
-    order after the header. Every schedule gives the same bytes. An OSError,
-    here or in a child, names `path`.
+    beside `path`, CSV_CHUNK_ROWS rows at a time. This process formats the
+    first part; with two usable CPUs a forked child formats the second
+    meanwhile, else this process formats it next. The parts are then copied
+    in order after the header. Every schedule gives the same bytes. An
+    OSError, here or in the child, names `path`.
     """
     from . import parallel
     from .ioutil import atomic_output, temp_path_beside
@@ -456,10 +459,9 @@ def write_csv(table: DataTable, path) -> None:
     n = table.n_rows
     cuts = [0, n // 2, n] if n >= MIN_ROWS_FOR_A_WRITER else [0, n]
     with atomic_output(path) as fh, ExitStack() as parts:
-        # the children fork before anything is written, so they hold no buffered bytes of `fh`
+        # the child forks before anything is written, so it holds no buffered bytes of `fh`
         names = [parts.enter_context(temp_path_beside(path)) for _ in cuts[1:]]
-        parallel.map(_write_rows, [(table, name, lo, hi) for name, lo, hi in zip(names, cuts, cuts[1:])],
-                     parallel.worker_count(len(names)))
+        parallel.map(_write_rows, [(table, name, lo, hi) for name, lo, hi in zip(names, cuts, cuts[1:])])
         fh.write((",".join(header) + "\n").encode("utf-8"))
         for name in names:
             with open(name, "rb") as part:

@@ -148,6 +148,19 @@ def test_audit_command_reference_fixture(tmp_path, capsys):
     assert abs(score - 4.43) <= 0.01
 
 
+def test_audit_reads_an_estimates_file_with_a_utf8_byte_order_mark(tmp_path, capsys):
+    text = "g,estimate\n\"a\",0.2\na,0.4\nb,0.5\nb,0.9\n"
+    for name, encoding in [("plain", "utf-8"), ("bom", "utf-8-sig")]:
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "est.csv").write_text(text, encoding=encoding)
+        assert _run(["audit", "--estimates", tmp_path / name / "est.csv", "--groups", "g",
+                     "--report", tmp_path / name / "report.json"]) == 0
+    assert (tmp_path / "bom" / "est.csv").read_bytes() == b"\xef\xbb\xbf" + text.encode()
+    plain, bom = ((tmp_path / name / "report.json").read_bytes() for name in ("plain", "bom"))
+    assert bom == plain
+    assert capsys.readouterr().err == ""
+
+
 def test_audit_command_identical_groups_scores_zero(tmp_path, capsys):
     est = tmp_path / "est.csv"
     est.write_text("estimate,g\n0.2,a\n0.4,a\n0.2,b\n0.4,b\n")
@@ -814,7 +827,7 @@ def test_synth_check_divergence_exits_three(capsys, monkeypatch, workers):
     import fairprep.synth as synth
     from fairprep.debias import DebiasConfig
 
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
     diverging = DebiasConfig(learning_rate=1e160, batch_size=30, epochs=2)
     monkeypatch.setattr(cli, "synth_check", lambda spec: synth.synth_check(spec, diverging))
     assert _run(["synth-check", "--n", 600]) == 3
@@ -823,18 +836,21 @@ def test_synth_check_divergence_exits_three(capsys, monkeypatch, workers):
     assert "non-finite" in err
 
 
-def _dies(*args):
-    os._exit(3)
-
-
 def test_run_study_worker_that_dies_exits_two_with_one_line(tmp_path, capsys, monkeypatch):
     import fairprep.parallel as parallel
     import fairprep.studies as studies
 
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
-    monkeypatch.setattr(studies, "train_debiaser", _dies)
-    code = _run(["run-study", "--config", STUDIES / "heart.json", "--seeds", 2,
-                 "--out", tmp_path / "out"])
+    caller, train = os.getpid(), studies.train_debiaser
+
+    def dies_in_a_child(table, cfg):
+        if os.getpid() != caller:
+            os._exit(3)
+        return train(table, cfg)
+
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+    monkeypatch.setattr(studies, "train_debiaser", dies_in_a_child)
+    quick = _edited_study(tmp_path, "heart", lambda c: c["debias"].update(epochs=2))
+    code = _run(["run-study", "--config", quick, "--seeds", 2, "--out", tmp_path / "out"])
     assert code == 2
     assert capsys.readouterr().err == "data error: forked child exited with code 3\n"
     assert not (tmp_path / "out").exists()
@@ -843,7 +859,7 @@ def test_run_study_worker_that_dies_exits_two_with_one_line(tmp_path, capsys, mo
 def test_run_study_divergence_in_worker_processes_exits_three(tmp_path, capsys, monkeypatch):
     import fairprep.parallel as parallel
 
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: 2)
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
     diverging = _edited_study(
         tmp_path, "heart",
         lambda c: c["debias"].update(learning_rate=1e160, batch_size=30, epochs=2),

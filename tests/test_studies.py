@@ -231,14 +231,19 @@ def test_a_seed_splits_once_before_training_and_a_failing_split_trains_nothing(
 
 
 def _force_workers(monkeypatch, workers):
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
 
 
-def test_worker_count_is_one_per_usable_cpu_capped_at_the_seeds():
-    cpus = len(os.sched_getaffinity(0))
-    assert parallel.worker_count(1) == 1
-    assert parallel.worker_count(cpus + 3) == cpus
-    assert parallel.worker_count(2) == min(cpus, 2)
+def test_worker_count_is_one_per_usable_cpu_capped_at_the_seeds(monkeypatch):
+    assert parallel.worker_count() == len(os.sched_getaffinity(0))
+
+    def refuse():
+        raise AssertionError("forked a child for a one-seed study")
+
+    # `map` makes no more shares than calls, and makes the first in this process
+    _force_workers(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", refuse)
+    assert [r.seed for r in run_study(_quick_heart(), seeds=[5]).runs] == [5]
 
 
 def test_worker_processes_and_in_process_runs_write_the_same_bytes(tmp_path, monkeypatch):
@@ -270,16 +275,14 @@ def test_seed_warnings_pass_through_the_callers_filters(monkeypatch, workers):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_warning_the_caller_makes_an_error_stops_the_study(monkeypatch, workers):
+def test_a_warning_the_caller_makes_an_error_stops_the_study(tmp_path, monkeypatch, workers):
+    # every seed's warnings, the caller's own too, reach the filters once every share is done
     _force_workers(monkeypatch, workers)
-    calls, downstream = [], studies._downstream
-    monkeypatch.setattr(studies, "_downstream", lambda *a: calls.append(a) or downstream(*a))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UserWarning, match="latent_dim 500"):
-            run_study(_quick_heart(latent_dim=500), seeds=[0, 1])
-    if workers == 1:  # raised where it happens, before the first seed's pipelines run
-        assert calls == []
+            run_study(_quick_heart(latent_dim=500), out_dir=tmp_path / "out", seeds=[0, 1])
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -337,20 +340,26 @@ def test_this_process_has_one_thread_when_it_forks_a_worker(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error", DeprecationWarning)
         run_study(_quick_heart(), seeds=[0, 1])
-    assert counts == [1] * 2
+    assert counts == [1]  # the caller runs seed 0, one child seed 1
 
 
-def _openblas_threads():
-    """The thread count OpenBLAS computes with here; None where numpy's BLAS is not OpenBLAS."""
+def _openblas(name):
+    """OpenBLAS's function `openblas_<name>` as loaded here; None where numpy's BLAS is not OpenBLAS."""
     with open("/proc/self/maps") as maps:
         paths = {line.split()[-1] for line in maps if "openblas" in line.rpartition("/")[2]}
     for path in paths:
         lib = ctypes.CDLL(path)
         for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
-            getter = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-            if getter is not None:
-                return getter()
+            fn = getattr(lib, f"{prefix}openblas_{name}{suffix}", None)
+            if fn is not None:
+                return fn
     return None
+
+
+def _openblas_threads():
+    """The thread count OpenBLAS computes with here; None where numpy's BLAS is not OpenBLAS."""
+    getter = _openblas("get_num_threads")
+    return None if getter is None else getter()
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="finds the BLAS in /proc")
@@ -365,3 +374,36 @@ def test_each_worker_computes_with_one_blas_thread(monkeypatch):
     _force_workers(monkeypatch, 2)
     with pytest.raises(DataError, match="^1 BLAS threads$"):
         run_study(_quick_heart(), seeds=[0, 1])
+
+
+def _caller_threads(caller, fails):
+    """A call that reports this process's OpenBLAS thread count, or raises `fails` in
+    the caller on its second call."""
+    def call(x):
+        if os.getpid() == caller and x == 2 and fails is not None:
+            raise fails
+        return os.getpid(), _openblas_threads()
+    return call
+
+
+@pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="finds the BLAS in /proc")
+@pytest.mark.parametrize("fails", [None, DataError("call 2 failed"), KeyboardInterrupt()],
+                         ids=["returns", "raises", "interrupted"])
+def test_the_caller_makes_its_share_with_one_blas_thread_then_restores_its_count(monkeypatch, fails):
+    before = _openblas_threads()
+    if before is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    set_threads, caller = _openblas("set_num_threads"), os.getpid()
+    _force_workers(monkeypatch, 2)
+    set_threads(3)  # a count that the one-thread hold must change and then put back
+    try:
+        if fails is None:
+            seen = parallel.map(_caller_threads(caller, fails), [(x,) for x in range(3)])
+            # calls 0 and 2 are the caller's share, call 1 the child's
+            assert seen == [(caller, 1), (seen[1][0], 1), (caller, 1)] and seen[1][0] != caller
+        else:
+            with pytest.raises(type(fails)):
+                parallel.map(_caller_threads(caller, fails), [(x,) for x in range(3)])
+        assert _openblas_threads() == 3
+    finally:
+        set_threads(before)

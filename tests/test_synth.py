@@ -133,7 +133,7 @@ DIVERGING = DebiasConfig(seed=8, learning_rate=1e160, batch_size=30, epochs=3)
 
 def _force_workers(monkeypatch, workers):
     # synth_check must make the same calls in the same order whatever CPU count it is offered
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: workers)
+    monkeypatch.setattr(parallel, "worker_count", lambda: workers)
 
 
 def test_synth_check_forks_no_process_even_with_two_cpus(monkeypatch):

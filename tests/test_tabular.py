@@ -147,6 +147,19 @@ def test_load_csv_header_mismatch(tmp_path):
         load_csv(p, schema)
 
 
+@pytest.mark.parametrize("text", ["x,c\n1.5,a\n,b\n", 'x,c\n1.5,"a"\n,b\n'],
+                         ids=["plain-split", "csv-reader"])
+def test_a_utf8_byte_order_mark_is_not_part_of_the_first_header_name(tmp_path, text):
+    schema = [ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", categories=("a", "b"))]
+    plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")  # as Excel's "CSV UTF-8" export writes
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    assert read_csv_columns(marked) == read_csv_columns(plain) == (["x", "c"], [["1.5", ""], ["a", "b"]])
+    table = load_csv(marked, schema)
+    assert (table.column("x"), table.column("c")) == ([1.5, None], ["a", "b"])
+
+
 def test_load_csv_duplicate_header(tmp_path):
     p = tmp_path / "t.csv"
     p.write_text("a,a\n1,2\n")
@@ -252,12 +265,12 @@ def _small_writer(mp, chunk_rows: int, min_rows: int, cpus: int = 2) -> list:
 
     mp.setattr(tabular, "CSV_CHUNK_ROWS", chunk_rows)
     mp.setattr(tabular, "MIN_ROWS_FOR_A_WRITER", min_rows)
-    mp.setattr(parallel, "worker_count", lambda n_tasks: min(cpus, n_tasks))
+    mp.setattr(parallel, "worker_count", lambda: cpus)
     mp.setattr(os, "fork", counted_fork)
     return forks
 
 
-@settings(max_examples=100, deadline=None)  # each forked example starts two processes
+@settings(max_examples=100, deadline=None)  # each forked example starts a process
 @given(_quoting_tables(), st.integers(1, 3), st.integers(0, 4), st.integers(1, 2))
 def test_property_write_csv_in_chunks_and_halves_matches_csv_writer(table, chunk_rows, min_rows, cpus):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
@@ -266,7 +279,8 @@ def test_property_write_csv_in_chunks_and_halves_matches_csv_writer(table, chunk
         write_csv(table, path)
         text = path.read_bytes().decode("utf-8")
         assert os.listdir(tmp) == ["t.csv"]
-    assert len(forks) == 2 * (table.n_rows >= min_rows and cpus == 2)
+    # the caller formats the first half, a forked child the second
+    assert len(forks) == (table.n_rows >= min_rows and cpus == 2)
     assert text == _reference_text(table)
 
 
@@ -292,7 +306,7 @@ def test_write_csv_forked_edge_cases_match_csv_writer(tmp_path, monkeypatch, sch
     forks = _small_writer(monkeypatch, 4, 0)
     table = DataTable(schema, columns)
     write_csv(table, tmp_path / "t.csv")
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
     assert os.listdir(tmp_path) == ["t.csv"]
 
@@ -307,7 +321,7 @@ def test_a_table_below_the_threshold_forks_no_writer(tmp_path, monkeypatch):
     def refuse():
         raise AssertionError("forked a writer for a small table")
 
-    monkeypatch.setattr(parallel, "worker_count", lambda n_tasks: min(2, n_tasks))
+    monkeypatch.setattr(parallel, "worker_count", lambda: 2)
     monkeypatch.setattr(os, "fork", refuse)
     table = _wide_table(tabular.MIN_ROWS_FOR_A_WRITER - 1)
     write_csv(table, tmp_path / "t.csv")
@@ -315,10 +329,11 @@ def test_a_table_below_the_threshold_forks_no_writer(tmp_path, monkeypatch):
 
 
 def test_a_table_at_the_threshold_forks_two_writers(tmp_path, monkeypatch):
+    # the two writers are the caller and one forked child
     forks = _small_writer(monkeypatch, tabular.CSV_CHUNK_ROWS, tabular.MIN_ROWS_FOR_A_WRITER)
     table = _wide_table(tabular.MIN_ROWS_FOR_A_WRITER)
     write_csv(table, tmp_path / "t.csv")
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
 
 
@@ -371,7 +386,7 @@ def test_a_warning_in_the_writer_child_reaches_the_caller(tmp_path, monkeypatch)
 
 def test_write_csv_to_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path, monkeypatch):
     (tmp_path / "out.csv").mkdir()
-    for min_rows in (10**9, 0):  # in process, then with two forked writers
+    for min_rows in (10**9, 0):  # one part, then two halves with a forked writer
         _small_writer(monkeypatch, 4, min_rows)
         with pytest.raises(IsADirectoryError) as raised:
             write_csv(_wide_table(20), tmp_path / "out.csv")
