@@ -3,6 +3,8 @@ transforms, fit the downstream model with the protected column excluded,
 audit the estimates, then debias the table and push it through the exact same
 pipeline. Pre and post runs share one code path (`_downstream`); only the
 table differs, and both reports carry the same config digest as proof.
+`synth.synth_check` fits and audits its raw and rewritten tables through
+`_downstream` too.
 """
 
 from __future__ import annotations
@@ -336,9 +338,10 @@ def _fit_model(cfg: StudyConfig, X_train, y_train):
     return mlcore.fit_linear(X_train, y_train, float(_ridge_lambda(cfg.model)))
 
 
-def _downstream(cfg: StudyConfig, table: DataTable, seed: int, split) -> audit_mod.AuditReport:
+def _downstream(cfg: StudyConfig, table: DataTable, seed: int, split):
     """The downstream pipeline shared verbatim by pre- and post-debias runs,
-    on the seed's (train_idx, test_idx) split."""
+    on the seed's (train_idx, test_idx) split: the audit report, and the
+    model's estimates for every row."""
     train_idx, test_idx = split
     X = encode_features(table, train_idx)
     if table.missing(cfg.target).any():
@@ -362,18 +365,17 @@ def _downstream(cfg: StudyConfig, table: DataTable, seed: int, split) -> audit_m
 
     audit_cfg = cfg.audit
     audit_on = audit_cfg.get("on", "all")
-    rows = list(range(table.n_rows)) if audit_on == "all" else list(test_idx)
-    audited = table.take_rows(rows)
+    rows, audited = (slice(None), table) if audit_on == "all" else (test_idx, table.take_rows(test_idx))
     groups = audited.map_cells(cfg.protected, _group_of(cfg))
     if classification:
         stratum_labels = audit_cfg.get("stratum_labels", {})
         strata = audited.map_cells(cfg.target, lambda v: stratum_labels.get(str(v), str(v)))
         true_values = None
     else:
-        strata = ["all"] * len(rows)
+        strata = ["all"] * audited.n_rows
         true_values = y[rows]
 
-    return audit_mod.audit(
+    report = audit_mod.audit(
         estimates[rows],
         groups,
         strata,
@@ -382,6 +384,7 @@ def _downstream(cfg: StudyConfig, table: DataTable, seed: int, split) -> audit_m
         metadata={"seed": seed, "config_digest": cfg.digest(), "audit_on": audit_on},
         **_audit_settings(audit_cfg),
     )
+    return report, estimates
 
 
 @dataclass
@@ -462,7 +465,8 @@ def _run_seed(cfg: StudyConfig, table: DataTable, seed: int) -> StudyRun:
     fit_table = table.take_rows(split[0]) if cfg.fit_debias_on == "train" else table
     dmodel, _ = train_debiaser(fit_table, cfg.debias_config(seed))
     debiased = transform(dmodel, table)
-    return StudyRun(seed, _downstream(cfg, table, seed, split), _downstream(cfg, debiased, seed, split))
+    return StudyRun(seed, _downstream(cfg, table, seed, split)[0],
+                    _downstream(cfg, debiased, seed, split)[0])
 
 
 def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, seeds=None) -> StudyResult:

@@ -17,12 +17,16 @@ import numpy as np
 
 from . import mlcore
 from .debias import DebiasConfig, leakage_probe, train_debiaser, transform
-from .mlcore import TrainConfig, check_count, check_finite, check_seed, derive_rng, sigmoid
-from .tabular import ColumnSpec, DataError, DataTable, encode_features, split_indices
-from . import audit as audit_mod
+from .mlcore import check_count, check_finite, check_seed, derive_rng, sigmoid
+from .studies import StudyConfig, _downstream, _train_config
+from .tabular import ColumnSpec, DataError, DataTable, split_indices
 
 PROTECTED_COLUMN = "group"
 TARGET_COLUMN = "outcome"
+# the downstream fit and audit of both tables: a default logistic fit on a 70/30 split,
+# and the bias of its estimates over every row, group 0 against group 1
+STUDY = StudyConfig(name="synth-check", schema=[], protected=PROTECTED_COLUMN,
+                    target=TARGET_COLUMN, model={"kind": "logistic"}, audit={"groups": [0, 1]})
 
 
 @dataclass(frozen=True)
@@ -92,29 +96,6 @@ def make_synthetic(spec: SyntheticSpec):
     return DataTable.from_arrays(schema, arrays), fair_labels
 
 
-def _fit_and_score(table: DataTable, fair_labels, seed: int, model_cfg: TrainConfig):
-    """Shared downstream pipeline: split, fit logistic on the features, score.
-
-    Returns observed-label accuracy, fair-label accuracy (both on the test
-    split) and the stratified bias table of estimates over all rows.
-    """
-    train_idx, test_idx = split_indices(table, 0.3, seed)
-    X = encode_features(table, train_idx)
-    y = table.array(TARGET_COLUMN).astype(float)  # binary codes are the 0/1 labels
-    model = mlcore.fit_logistic(X[train_idx], y[train_idx], model_cfg)
-    estimates = mlcore.predict(model, X)
-
-    observed_acc = mlcore.accuracy(estimates[test_idx], y[test_idx])
-    fair_acc = mlcore.accuracy(estimates[test_idx], np.asarray(fair_labels)[test_idx])
-    report = audit_mod.audit(
-        estimates,
-        groups=table.array(PROTECTED_COLUMN).tolist(),
-        strata=table.array(TARGET_COLUMN).tolist(),
-        group_pair=(0, 1),
-    )
-    return observed_acc, fair_acc, report.bias_table.scores()
-
-
 @dataclass
 class SynthCheckResult:
     spec: SyntheticSpec
@@ -157,32 +138,38 @@ def synth_check(
     both against the hidden fair labels.
 
     Five calls, one after another in this process: train a debiaser and rewrite
-    the table, probe the raw table, fit and score it, probe the rewritten table,
-    fit and score it. The first of them to fail raises its error, and every
-    warning they raise reaches the caller's filters. Both fits use the default
-    `TrainConfig()`, which the report keeps as `model_config`."""
+    the table, probe the raw table, fit and audit it, probe the rewritten table,
+    fit and audit it. Both fits and audits are the study pipeline's
+    (`studies._downstream` under `STUDY`), on one split: the rewrite keeps the
+    target column it is stratified on. The first call to fail raises its error,
+    and every warning they raise reaches the caller's filters. The report's
+    `model_config` is the `TrainConfig` both fits use."""
     table, fair_labels = make_synthetic(spec)
     if debias_cfg is None:
         debias_cfg = default_debias_config(spec)
-    model_cfg = TrainConfig()
 
     dmodel, _ = train_debiaser(table, debias_cfg)
     debiased = transform(dmodel, table)
     auc_pre = leakage_probe(table, PROTECTED_COLUMN, spec.seed)
-    obs_pre, fair_pre, bias_pre = _fit_and_score(table, fair_labels, spec.seed, model_cfg)
+    # as arrays, not split_indices' lists of Python ints: held across the post probe,
+    # those would grow the heap that probe peaks in
+    split = tuple(map(np.asarray, split_indices(table, STUDY.test_fraction, spec.seed)))
+    pre, estimates_pre = _downstream(STUDY, table, spec.seed, split)
     auc_post = leakage_probe(debiased, PROTECTED_COLUMN, spec.seed)
-    obs_post, fair_post, bias_post = _fit_and_score(debiased, fair_labels, spec.seed, model_cfg)
+    post, estimates_post = _downstream(STUDY, debiased, spec.seed, split)
 
+    test_idx = split[1]
+    fair_test = fair_labels[test_idx]
     return SynthCheckResult(
         spec=spec,
         debias_config=asdict(debias_cfg),
-        model_config=asdict(model_cfg),
+        model_config=asdict(_train_config(STUDY.model)),
         probe_auc_pre=auc_pre,
         probe_auc_post=auc_post,
-        observed_accuracy_pre=obs_pre,
-        observed_accuracy_post=obs_post,
-        fair_accuracy_pre=fair_pre,
-        fair_accuracy_post=fair_post,
-        bias_scores_pre=bias_pre,
-        bias_scores_post=bias_post,
+        observed_accuracy_pre=pre.performance["value"],
+        observed_accuracy_post=post.performance["value"],
+        fair_accuracy_pre=mlcore.accuracy(estimates_pre[test_idx], fair_test),
+        fair_accuracy_post=mlcore.accuracy(estimates_post[test_idx], fair_test),
+        bias_scores_pre=pre.bias_table.scores(),
+        bias_scores_post=post.bias_table.scores(),
     )

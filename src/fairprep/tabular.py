@@ -632,15 +632,18 @@ class DesignColumn:
     category: object = None  # None => identity (numeric) column
 
 
-def encode(table: DataTable):
+def encode(table: DataTable, rows=None):
     """Fit an encoding on `table`'s feature columns; returns (column_map, scaler).
 
-    Numeric columns are standardized with the population standard deviation
-    (constant columns keep std=1; `scaler` holds each design column's (mean,
-    std)); categorical/binary columns become one-hot groups, with a
-    MISSING_CATEGORY column if a cell is missing. Protected, target and
+    Numeric columns are standardized with the mean and population standard
+    deviation of the `rows` cells (every row when None; constant columns keep
+    std=1; `scaler` holds each design column's (mean, std)). Categorical/binary
+    columns become one-hot groups over the schema's categories, with a
+    MISSING_CATEGORY column if any cell of `table` is missing, whatever `rows`
+    holds: neither carries a statistic of the rows. Protected, target and
     drop-role columns are not encoded.
     """
+    rows = slice(None) if rows is None else np.asarray(rows, dtype=np.intp)
     column_map = []
     scaler = []
     for spec in table.specs_with_role("feature"):
@@ -649,7 +652,8 @@ def encode(table: DataTable):
             column_map += [DesignColumn(spec.name, cat) for cat in spec.categories + missing]
             scaler += [(0.0, 1.0)] * (len(spec.categories) + len(missing))
             continue
-        observed = table.array(spec.name)[~table.missing(spec.name)]
+        col = table.array(spec.name)[rows]
+        observed = col[~np.isnan(col)]
         if not observed.size:
             raise DataError(f"column {spec.name!r}: all cells missing, cannot fit scaler")
         std = float(np.std(observed))  # population std
@@ -693,10 +697,12 @@ def apply_encoding(table: DataTable, column_map, scaler) -> np.ndarray:
 def encode_features(table: DataTable, train_idx) -> np.ndarray:
     """Design matrix of the role=feature columns for every row of `table`.
 
-    The encoding (one-hot vocabularies and standardization) is fitted on the
-    `train_idx` rows only, so test rows never inform it.
+    Standardization is fitted on the `train_idx` rows only, so test rows never
+    inform it. The one-hot vocabularies come from the schema, and a group's
+    MISSING_CATEGORY column from the whole table, so every row encodes
+    whichever rows the split puts in training.
     """
-    return apply_encoding(table, *encode(table.take_rows(train_idx)))
+    return apply_encoding(table, *encode(table, train_idx))
 
 
 def decode(values, column_map, scaler, table: DataTable) -> DataTable:

@@ -618,6 +618,41 @@ def test_debias_failed_probe_exits_two_and_writes_no_output(tmp_path, capsys):
     assert not [path for path in outputs.values() if path.exists()]
 
 
+@pytest.mark.parametrize("empty_row", [0, 7])
+def test_property_a_missing_categorical_cell_succeeds_on_every_seed(tmp_path, empty_row):
+    """Whether a row with an empty categorical cell falls in a train split
+    depends on the seed; the encoding must not, so every seed succeeds."""
+    from fairprep.debias import leakage_probe
+    from fairprep.studies import StudyConfig, run_study
+    from fairprep.tabular import load_csv, load_schema
+
+    rows = ["x1,c,g,y"]
+    for i in range(120):
+        c = "" if i == empty_row else "ab"[i * 7 % 3 % 2]
+        rows.append(f"{(i * 37 % 101) / 10:.3f},{c},{i // 3 % 2},{i % 2}")
+    (tmp_path / "in.csv").write_text("\n".join(rows) + "\n")
+    (tmp_path / "in.schema.json").write_text(json.dumps([
+        {"name": "x1", "kind": "numeric"},
+        {"name": "c", "kind": "categorical", "categories": ["a", "b"]},
+        {"name": "g", "kind": "binary", "role": "protected"},
+        {"name": "y", "kind": "binary", "role": "target"},
+    ]))
+    seeds = [0, 1, 2, 3]
+    for seed in seeds:
+        assert _run(["debias", "--input", tmp_path / "in.csv", "--schema", tmp_path / "in.schema.json",
+                     "--protected", "g", "--epochs", 5, "--seed", seed,
+                     "--output", tmp_path / "out.csv", "--report", tmp_path / "report.json"]) == 0
+    schema = load_schema(tmp_path / "in.schema.json")
+    table = load_csv(tmp_path / "in.csv", schema)
+    assert table.missing("c").sum() == 1
+    for seed in seeds:
+        assert 0.0 <= leakage_probe(table, "g", seed) <= 1.0
+    cfg = StudyConfig(name="missing", source={"bundled": "in.csv"}, schema=schema, protected="g",
+                      target="y", model={"kind": "logistic"}, debias={"epochs": 5}, seeds=seeds,
+                      base_dir=tmp_path)
+    assert [run.seed for run in run_study(cfg).runs] == seeds
+
+
 def test_debias_passes_drop_columns_through(tmp_path):
     out = tmp_path / "compas_debiased.csv"
     report = tmp_path / "report.json"

@@ -8,8 +8,9 @@ import pytest
 from fairprep import parallel, synth
 from fairprep.debias import DebiasConfig, leakage_probe
 from fairprep.mlcore import TrainingDivergedError
+from fairprep.studies import _downstream
 from fairprep.synth import PROTECTED_COLUMN, TARGET_COLUMN, SyntheticSpec, make_synthetic, synth_check
-from fairprep.tabular import DataError, SchemaError
+from fairprep.tabular import DataError, DataTable, SchemaError
 
 
 def test_spec_validation():
@@ -159,15 +160,15 @@ def test_a_training_warning_reaches_the_callers_filters(monkeypatch, workers):
     assert latent[0].filename == synth.__file__
 
 
-def _fails_on_any_table(table, *args):
-    raise DataError(f"caller-side stage failed on {table.n_rows} rows")
+def _fails_on_any_table(*args):
+    raise DataError("caller-side stage failed")
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_diverging_debiaser_is_raised_ahead_of_any_caller_side_error(monkeypatch, workers):
     _force_workers(monkeypatch, workers)
     monkeypatch.setattr(synth, "leakage_probe", _fails_on_any_table)
-    monkeypatch.setattr(synth, "_fit_and_score", _fails_on_any_table)
+    monkeypatch.setattr(synth, "_downstream", _fails_on_any_table)
     with pytest.raises(TrainingDivergedError, match="non-finite") as err:
         synth_check(QUICK, DIVERGING)
     assert len(err.value.trace) == err.value.epoch + 1
@@ -178,14 +179,15 @@ def _is_raw(table) -> bool:
     return np.array_equal(table.array("f1"), make_synthetic(QUICK)[0].array("f1"))
 
 
-def _fails_on(raw: bool, error):
-    """A stage that raises `error` on the raw table (`raw` True), on the rewritten one
-    (False) or on neither (None), and otherwise returns a value of the probe's or the
-    fit's shape."""
-    def stage(table, *args):
+def _fails_on(raw: bool, error, real):
+    """A stand-in for the stage `real` that raises `error` on the raw table (`raw`
+    True), on the rewritten one (False) or on neither (None), and otherwise calls
+    `real`. The table is the probe's first argument and `_downstream`'s second."""
+    def stage(*args):
+        table = next(arg for arg in args if isinstance(arg, DataTable))
         if _is_raw(table) == raw:
             raise error
-        return 0.75 if len(args) == 2 else (0.5, 0.5, {})
+        return real(*args)
     return stage
 
 
@@ -201,7 +203,7 @@ def test_otherwise_the_first_failure_of_a_sequential_run_is_raised(monkeypatch, 
         (True, True, probe_fails),  # probe pre ahead of fit pre
         (False, False, probe_fails),  # probe post ahead of fit post
     ]:
-        monkeypatch.setattr(synth, "leakage_probe", _fails_on(probe_fails_on_raw, probe_fails))
-        monkeypatch.setattr(synth, "_fit_and_score", _fails_on(fit_fails_on_raw, fit_fails))
+        monkeypatch.setattr(synth, "leakage_probe", _fails_on(probe_fails_on_raw, probe_fails, leakage_probe))
+        monkeypatch.setattr(synth, "_downstream", _fails_on(fit_fails_on_raw, fit_fails, _downstream))
         with pytest.raises(type(raised), match=f"^{raised}$"):
             synth_check(QUICK, cfg)

@@ -1069,3 +1069,27 @@ def test_encode_features_fits_on_train_rows_only():
     assert X.shape == (4, 3)
     assert X[:, 0].tolist() == [-1.0, 1.0, 98.0, -52.0]
     assert X[:, 1:].tolist() == [[1.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def test_encode_on_rows_fits_the_scaler_on_them_and_the_missing_column_on_every_row():
+    n = 40
+    schema = [ColumnSpec("x", "numeric"), ColumnSpec("c", "categorical", categories=("a", "b")),
+              ColumnSpec("y", "binary", "target")]
+    table = DataTable(schema, {
+        "x": [None if i in (4, 31) else math.sin(i) * 3.0 + 1.0 for i in range(n)],
+        "c": [None if i == 33 else "ab"[i % 2] for i in range(n)],
+        "y": [i % 2 for i in range(n)],
+    })
+    rows = [i for i in range(n) if i % 3]  # keeps both missing x cells, leaves out row 33
+    column_map, scaler = encode(table, rows)
+    rows_map, rows_scaler = encode(table.take_rows(rows))
+    # the same scaler bits as an encoding fitted on those rows alone
+    assert scaler[0] == rows_scaler[0]
+    assert encode(table, np.array(rows)) == (column_map, scaler)
+    # only the unfitted row 33 is missing c, and its group still gets the missing column
+    assert [(c.source, c.category) for c in rows_map] == [("x", None), ("c", "a"), ("c", "b")]
+    assert [(c.source, c.category) for c in column_map] == [
+        ("x", None), ("c", "a"), ("c", "b"), ("c", "__missing__")]
+    assert apply_encoding(table, column_map, scaler)[33, 1:].tolist() == [0.0, 0.0, 1.0]
+    # every row is what encoding the whole table fits on
+    assert encode(table, range(n)) == encode(table)
