@@ -43,8 +43,8 @@ checkouts, run each one's copy of this script and `diff` the two outputs:
 
     python3 scripts/output_digests.py > after.txt
 
-Unpinned, `parallel.map` makes its first share of calls in this process with
-OpenBLAS held at one thread and forks a child for each other share; under
+Unpinned, `parallel.map` makes its first run of calls in this process with
+OpenBLAS held at one thread and forks a child for each later run; under
 `taskset -c 0` it makes every call here, and with `OPENBLAS_NUM_THREADS=1`
 every BLAS call computes with one thread. So the same checkout must print
 the same digests unpinned, pinned and with one BLAS thread.

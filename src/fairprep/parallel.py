@@ -3,16 +3,17 @@ where it runs.
 
 A child starts from this process's memory, so its arguments reach it through
 the fork and are never pickled; only its outcome comes back, through a pipe.
-`map` is the one way work forks. It deals calls out in shares, one per
-usable CPU: this process makes the first share itself after it has forked a
-child for each other share, so with one usable CPU, or one call, it forks
-nothing. Every share computes with OpenBLAS held at one thread and makes its
-calls in order up to its first error. The warnings each call raises are
-recorded with its value and re-emitted through this process's filters in
-call order, so a caller writes its schedule once and gets the same values,
-warnings and first error on any number of CPUs. Its two users are
-`run_study`'s seeds and the two halves of a large `write_csv`.
-`worker_count` gives the usable CPUs, which is 1 off Linux.
+`map` is the one way work forks. It cuts the calls into runs of consecutive
+calls, one per usable CPU: this process forks a child for each run but the
+first, then makes the first itself as a plain loop, so with one usable CPU,
+or one call, it forks nothing and is that loop. Every process computes with
+OpenBLAS held at one thread. A child makes its calls in order up to its first
+error and reports once: its values, the warnings they raised and its error.
+This process shows each child's warnings through its own filters, then raises
+its error, child by child in call order, so a caller writes its schedule once
+and gets the same values, warnings and first error on any number of CPUs.
+Its two users are `run_study`'s seeds and the two halves of a large
+`write_csv`. `worker_count` gives the usable CPUs, which is 1 off Linux.
 """
 
 from __future__ import annotations
@@ -62,33 +63,26 @@ def _blas_threads(n: int):
     return previous
 
 
-def _record(fn, calls) -> tuple:
-    """`fn(*args)` for each `args` of `calls`, in order, up to the first error.
-    Returns (done, error): the value of each call made with the warnings it
-    raised, as (warning, filename, lineno), and the error or None. The
-    warnings are held back so that `_rewarn` shows every share's in call
-    order."""
-    done, error = [], None
-    try:
-        for args in calls:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                value = fn(*args)
-            done.append((value, [(w.message, w.filename, w.lineno) for w in caught]))
-    except Exception as exc:  # noqa: BLE001 - raised again by _in_call_order
-        error = exc
-    return done, error
-
-
 def _run_in_child(conn, fn, calls) -> None:
-    """A forked child's work: its share of calls, recorded by `_record` with
-    one BLAS thread, sent back to the parent."""
+    """A forked child's work: its run of calls, in order up to the first error,
+    with one BLAS thread. It sends one report, (values, warnings, error): the
+    value of each call made, every warning they raised as (warning, filename,
+    lineno), and the error or None. The warnings are held back so that the
+    caller shows them through its own filters, in call order."""
     _blas_threads(1)
-    conn.send(_record(fn, calls))
+    values, error = [], None
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            for args in calls:
+                values.append(fn(*args))
+        except Exception as exc:  # noqa: BLE001 - raised again by map
+            error = exc
+    conn.send((values, [(w.message, w.filename, w.lineno) for w in caught], error))
 
 
 def _rewarn(caught) -> None:
-    """Re-emit the warnings a share recorded through this process's filters,
+    """Re-emit the warnings a child recorded through this process's filters,
     with the module and registry that `warnings.warn` would have used."""
     modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
     for message, filename, lineno in caught:
@@ -99,8 +93,8 @@ def _rewarn(caught) -> None:
 
 
 @contextmanager
-def _children(fn, shares):
-    """One forked child per share of calls, as (process, receiving end of its
+def _children(fn, runs):
+    """One forked child per run of calls, as (process, receiving end of its
     pipe). Every child is reaped when the block ends, and killed first if the
     block raises. A fork copies only the calling thread, so `fn` must not need
     a lock that another thread may hold, such as a BLAS thread pool's."""
@@ -109,7 +103,7 @@ def _children(fn, shares):
     ctx = get_context("fork")
     children = []
     try:
-        for calls in shares:
+        for calls in runs:
             receiver, sender = ctx.Pipe(duplex=False)
             child = ctx.Process(target=_run_in_child, args=(sender, fn, calls))
             children.append((child, receiver))
@@ -131,49 +125,36 @@ def _children(fn, shares):
                 child.close()
 
 
-def _report(child, receiver):
-    """Wait for a child's report, what `_record` returned there. A child that
-    dies before it reports is an error."""
-    try:
-        return receiver.recv()
-    except EOFError:
-        child.join()
-        raise ChildProcessError(f"forked child exited with code {child.exitcode}") from None
-
-
-def _in_call_order(reports, n_calls: int) -> list:
-    """The values of `n_calls` calls dealt out strided over the shares that
-    `reports` recorded, in call order, with each call's warnings re-emitted in
-    that order. Raises the first error in call order: a share stops only at an
-    error of its own, so every call before it was made and succeeded."""
-    values = []
-    for i in range(n_calls):
-        done, error = reports[i % len(reports)]
-        if i // len(reports) == len(done):
-            raise error
-        value, caught = done[i // len(reports)]
-        _rewarn(caught)
-        values.append(value)
-    return values
-
-
 def map(fn, calls) -> list:  # noqa: A001 - the parallel form of map
     """`fn(*args)` for each `args` of `calls`, with the values in call order.
 
-    With w = min(worker_count(), len(calls)) shares, share k is the calls
-    `calls[k::w]`. This process forks a child for each of shares 1 to w - 1,
-    then makes share 0 itself with OpenBLAS held at one thread, and restores
-    its thread count afterwards. `_in_call_order` then re-emits every share's
-    warnings and raises the first error in call order.
+    With w = min(worker_count(), len(calls)) processes, the calls are cut into
+    w runs of consecutive calls, the first never shorter than another. This
+    process forks a child for each of runs 1 to w - 1, then makes run 0 itself
+    as a plain loop with OpenBLAS held at one thread, and restores its thread
+    count afterwards; an error there is raised at once, and the children are
+    killed. It then reads each child's report in turn: it re-emits the
+    child's warnings, takes its values and raises its error. So the values,
+    the warnings and the first error come in call order on any number of CPUs.
     """
     calls = list(calls)
     w = max(min(worker_count(), len(calls)), 1)
-    with _children(fn, [calls[k::w] for k in range(1, w)]) as children:
+    cuts = [-(-k * len(calls) // w) for k in range(w + 1)]
+    with _children(fn, [calls[a:b] for a, b in zip(cuts[1:], cuts[2:])]) as children:
         previous = _blas_threads(1)
         try:
-            reports = [_record(fn, calls[::w])]
+            values = [fn(*args) for args in calls[:cuts[1]]]
         finally:
             if previous is not None:
                 _blas_threads(previous)
-        reports += [_report(*child) for child in children]
-    return _in_call_order(reports, len(calls))
+        for child, receiver in children:
+            try:
+                done, caught, error = receiver.recv()
+            except EOFError:  # the child died before it reported
+                child.join()
+                raise ChildProcessError(f"forked child exited with code {child.exitcode}") from None
+            _rewarn(caught)
+            values += done
+            if error is not None:
+                raise error
+    return values

@@ -35,6 +35,7 @@ from .tabular import (
     load_csv,
     load_schema,
     quartile_binarize,
+    schema_to_jsonable,
     split_indices,
 )
 
@@ -175,7 +176,9 @@ class StudyConfig:
     fit_debias_on: str = "full"  # "full": debiaser sees the whole table; "train": the train split only
     test_fraction: float = 0.3
     base_dir: Path = field(default_factory=Path)
-    raw: dict = field(default_factory=dict, repr=False)
+    # the settings as JSON, which a result echoes and `digest` hashes: built from the
+    # fields, so a `dataclasses.replace` copy has its own; `from_json` sets the file's JSON
+    raw: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         # the name starts every output file's name, so it may not name a directory
@@ -214,6 +217,8 @@ class StudyConfig:
             raise SchemaError(f"seeds must be a non-empty list of distinct "
                               f"non-negative integers, got {self.seeds!r}")
         check_test_fraction(self.test_fraction)
+        self.raw = {key: getattr(self, key) for key in sorted(STUDY_KEYS)}
+        self.raw["schema"] = schema_to_jsonable(self.schema)
 
     def digest(self) -> str:
         return hashlib.sha256(canonical_json(self.raw).encode("utf-8")).hexdigest()
@@ -230,9 +235,11 @@ class StudyConfig:
         schema = load_schema(path.parent / data["schema"])
         try:
             # every config key is a field; one the config leaves out keeps the field's default
-            return cls(**dict(data, schema=schema), base_dir=path.parent, raw=data)
+            cfg = cls(**dict(data, schema=schema), base_dir=path.parent)
         except (SchemaError, TypeError) as exc:  # TypeError: a required key is missing
             raise SchemaError(f"{path.name}: {exc}") from None
+        cfg.raw = data
+        return cfg
 
     def debias_config(self, seed: int) -> DebiasConfig:
         return DebiasConfig(seed=seed, **self.debias)
@@ -476,7 +483,7 @@ def run_study(cfg: StudyConfig, out_dir=None, data_dir=None, seeds=None) -> Stud
         raise ValueError("run_study needs at least one seed")
     table, source_info = load_study_table(cfg, data_dir=data_dir)
     table = prepare_table(cfg, table)
-    # with w usable CPUs, this process runs seeds 0, w, 2w, ... and a forked child each other share
+    # on w usable CPUs this process runs the first ceil(k/w) of k seeds, a forked child each later run
     runs = parallel.map(_run_seed, [(cfg, table, seed) for seed in seeds])
     effective = dict(cfg.raw, seeds=seeds)
     result = StudyResult(cfg.name, cfg.digest(), effective, source_info, runs, _aggregate(cfg, runs))

@@ -151,9 +151,7 @@ def synth_check(
     dmodel, _ = train_debiaser(table, debias_cfg)
     debiased = transform(dmodel, table)
     auc_pre = leakage_probe(table, PROTECTED_COLUMN, spec.seed)
-    # as arrays, not split_indices' lists of Python ints: held across the post probe,
-    # those would grow the heap that probe peaks in
-    split = tuple(map(np.asarray, split_indices(table, STUDY.test_fraction, spec.seed)))
+    split = split_indices(table, STUDY.test_fraction, spec.seed)
     pre, estimates_pre = _downstream(STUDY, table, spec.seed, split)
     auc_post = leakage_probe(debiased, PROTECTED_COLUMN, spec.seed)
     post, estimates_post = _downstream(STUDY, debiased, spec.seed, split)

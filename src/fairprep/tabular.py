@@ -593,7 +593,8 @@ def split_indices_on(table: DataTable, column: str, test_fraction: float, seed: 
     """Deterministic (seeded) train/test row indices, stratified on `column`.
 
     Categorical/binary columns are split class by class; numeric columns get a
-    plain shuffled split. Returns sorted (train_indices, test_indices).
+    plain shuffled split. Returns sorted (train_indices, test_indices), two
+    `np.intp` arrays.
     """
     check_test_fraction(test_fraction)
     if table.n_rows < 10:
@@ -617,7 +618,7 @@ def split_indices_on(table: DataTable, column: str, test_fraction: float, seed: 
         n_test = int(round(test_fraction * len(idx)))
         n_test = min(max(n_test, 1), len(idx) - 1)
         in_test[idx[perm[:n_test]]] = True
-    return np.flatnonzero(~in_test).tolist(), np.flatnonzero(in_test).tolist()
+    return np.flatnonzero(~in_test), np.flatnonzero(in_test)
 
 
 # ---------------------------------------------------------------------------

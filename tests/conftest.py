@@ -9,8 +9,6 @@ from fairprep.tabular import ColumnSpec, DataTable
 ROOT = Path(__file__).resolve().parent.parent
 STUDY_DIR = ROOT / "studies"
 
-warnings.filterwarnings("ignore", message="latent_dim .*")
-
 
 @pytest.fixture
 def toy_table():

@@ -106,7 +106,7 @@ def test_map_returns_the_values_in_call_order_on_children_and_in_process(cpus):
 
 @pytest.mark.parametrize("processes", [1, 2])
 def test_map_raises_the_first_error_in_call_order(cpus, processes):
-    # on 2 CPUs, call 4 is the last of the caller's share and call 1 the first of the child's
+    # on 2 CPUs the caller makes calls 0-2 and fails at call 1, the child calls 3-4
     cpus(processes)
     with pytest.raises(DataError, match="^call 1 failed$"):
         parallel.map(_square_unless, [({1, 4}, x) for x in range(5)])
@@ -124,6 +124,58 @@ def test_map_re_emits_the_childrens_warnings_in_call_order(cpus):
         warnings.simplefilter("always")
         assert parallel.map(_warns_for, [(x,) for x in range(5)]) == list(range(5))
     assert [str(w.message) for w in caught] == [f"call {x}" for x in range(5)]
+
+
+def _warn_here():
+    warnings.warn("shown once per place", UserWarning)
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_map_leaves_the_callers_warning_registry_alone(cpus, processes):
+    # "default" shows a warning once per place, however many map calls come between
+    cpus(processes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        _warn_here()
+        parallel.map(abs, [(-1,), (-2,)])
+        _warn_here()
+    assert [str(w.message) for w in caught] == ["shown once per place"]
+
+
+def _warns_then_fails_at_1(x):
+    warnings.warn(f"call {x}", UserWarning)
+    if x == 1:
+        raise DataError(f"call {x} failed")
+    return x
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_map_shows_a_failing_calls_warnings_then_raises_its_error(cpus, processes):
+    # on 2 CPUs, call 1 fails in the child
+    cpus(processes)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DataError, match="^call 1 failed$"):
+            parallel.map(_warns_then_fails_at_1, [(x,) for x in range(2)])
+    assert [str(w.message) for w in caught] == ["call 0", "call 1"]
+
+
+@pytest.mark.parametrize("processes", [1, 2])
+def test_a_warning_filtered_into_an_error_stops_the_callers_run_where_it_is_raised(cpus, processes):
+    # the caller's run is calls 0 and 1 on either count; on 2 CPUs a child makes call 2
+    cpus(processes)
+    made = []
+
+    def call(x):
+        made.append(x)
+        warnings.warn(f"call {x}", UserWarning)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UserWarning, match="^call 0$"):
+            parallel.map(call, [(x,) for x in range(3)])
+    assert made == [0]
+    assert multiprocessing.active_children() == []
 
 
 def _first_child_dies(x):

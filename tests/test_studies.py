@@ -4,6 +4,7 @@ import os
 import pickle
 import time
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -204,16 +205,21 @@ def test_real_source_row_count_when_present():
 
 def _quick_heart(**debias):
     cfg = StudyConfig.from_json(STUDY_DIR / "heart.json")
-    cfg.debias = dict(cfg.debias, epochs=3, **debias)
-    return cfg
+    return replace(cfg, debias=dict(cfg.debias, epochs=3, **debias))
+
+
+def test_a_replaced_config_echoes_and_digests_its_own_settings():
+    heart = StudyConfig.from_json(STUDY_DIR / "heart.json")
+    result = run_study(replace(heart, debias={**heart.debias, "epochs": 1}), seeds=[0])
+    assert result.config["debias"]["epochs"] == 1
+    assert result.config_digest != heart.digest()
 
 
 @pytest.mark.parametrize("fit_debias_on", ["full", "train"])
 def test_a_seed_splits_once_before_training_and_a_failing_split_trains_nothing(
     monkeypatch, fit_debias_on
 ):
-    cfg = _quick_heart()
-    cfg.fit_debias_on = fit_debias_on
+    cfg = replace(_quick_heart(), fit_debias_on=fit_debias_on)
     table = prepare_table(cfg, load_study_table(cfg)[0])
     splits, trained = [], []
     split, train = studies.split_indices, studies.train_debiaser
@@ -240,7 +246,7 @@ def test_worker_count_is_one_per_usable_cpu_capped_at_the_seeds(monkeypatch):
     def refuse():
         raise AssertionError("forked a child for a one-seed study")
 
-    # `map` makes no more shares than calls, and makes the first in this process
+    # `map` makes no more runs than calls, and makes the first in this process
     _force_workers(monkeypatch, 3)
     monkeypatch.setattr(os, "fork", refuse)
     assert [r.seed for r in run_study(_quick_heart(), seeds=[5]).runs] == [5]
@@ -276,13 +282,16 @@ def test_seed_warnings_pass_through_the_callers_filters(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_warning_the_caller_makes_an_error_stops_the_study(tmp_path, monkeypatch, workers):
-    # every seed's warnings, the caller's own too, reach the filters once every share is done
     _force_workers(monkeypatch, workers)
+    trained, train = [], studies.train_debiaser
+    monkeypatch.setattr(studies, "train_debiaser", lambda t, c: trained.append(c.seed) or train(t, c))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(UserWarning, match="latent_dim 500"):
             run_study(_quick_heart(latent_dim=500), out_dir=tmp_path / "out", seeds=[0, 1])
     assert not (tmp_path / "out").exists()
+    # raised where it happens, in seed 0's training; on two CPUs a child trains seed 1
+    assert trained == [0]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -380,14 +389,14 @@ def _caller_threads(caller, fails):
     """A call that reports this process's OpenBLAS thread count, or raises `fails` in
     the caller on its second call."""
     def call(x):
-        if os.getpid() == caller and x == 2 and fails is not None:
+        if os.getpid() == caller and x == 1 and fails is not None:
             raise fails
         return os.getpid(), _openblas_threads()
     return call
 
 
 @pytest.mark.skipif(not Path("/proc/self/maps").exists(), reason="finds the BLAS in /proc")
-@pytest.mark.parametrize("fails", [None, DataError("call 2 failed"), KeyboardInterrupt()],
+@pytest.mark.parametrize("fails", [None, DataError("call 1 failed"), KeyboardInterrupt()],
                          ids=["returns", "raises", "interrupted"])
 def test_the_caller_makes_its_share_with_one_blas_thread_then_restores_its_count(monkeypatch, fails):
     before = _openblas_threads()
@@ -399,8 +408,8 @@ def test_the_caller_makes_its_share_with_one_blas_thread_then_restores_its_count
     try:
         if fails is None:
             seen = parallel.map(_caller_threads(caller, fails), [(x,) for x in range(3)])
-            # calls 0 and 2 are the caller's share, call 1 the child's
-            assert seen == [(caller, 1), (seen[1][0], 1), (caller, 1)] and seen[1][0] != caller
+            # calls 0 and 1 are the caller's run, call 2 the child's
+            assert seen == [(caller, 1), (caller, 1), (seen[2][0], 1)] and seen[2][0] != caller
         else:
             with pytest.raises(type(fails)):
                 parallel.map(_caller_threads(caller, fails), [(x,) for x in range(3)])
