@@ -26,10 +26,9 @@ The runs use the checkout this script sits in:
   model, the trace CSV, and the input rewritten by `transform` and written
   with `write_csv`;
 - `fairprep audit --report` on a generated 400-row estimates file;
-- `write_csv` of a generated 25 000-row table, above the row count from which
-  it is cut in two halves, the second formatted by a forked child on 2 or
-  more CPUs, with missing cells (one on the middle row) and labels that need
-  quoting; that file read back with `load_csv`
+- `write_csv` of a generated 25 000-row table, in four chunks of at most
+  `CSV_CHUNK_ROWS` rows, with missing cells (one on the middle row) and
+  labels that need quoting; that file read back with `load_csv`
   (its quotes send it to `csv.reader`) and written again;
 - `load_csv` of a generated quote-free 25 000-row file, which it parses in
   four chunks of `CSV_CHUNK_ROWS` lines, with a blank line on a chunk
@@ -43,11 +42,12 @@ checkouts, run each one's copy of this script and `diff` the two outputs:
 
     python3 scripts/output_digests.py > after.txt
 
-Unpinned, `parallel.map` makes its first run of calls in this process with
-OpenBLAS held at one thread and forks a child for each later run; under
-`taskset -c 0` it makes every call here, and with `OPENBLAS_NUM_THREADS=1`
-every BLAS call computes with one thread. So the same checkout must print
-the same digests unpinned, pinned and with one BLAS thread.
+Unpinned, `parallel.map` makes its first run of a study's seeds in this
+process with OpenBLAS held at one thread and forks a child for each later
+run; under `taskset -c 0` it makes every call here, and with
+`OPENBLAS_NUM_THREADS=1` every BLAS call computes with one thread. So the
+same checkout must print the same digests unpinned, pinned and with one
+BLAS thread.
 """
 
 from __future__ import annotations

@@ -13,7 +13,9 @@ file, `transform` of that table, `write_csv` of the result, and
 For each stage one line gives the `tracemalloc` peak above what was live
 when the stage began, and what the stage left live (its result). Both
 count every Python and numpy allocation, so unlike RSS they are the same
-on every run of the same checkout.
+on every run of the same checkout. Every stage runs in this process, so
+each line counts the whole stage: `write_csv` formats every row here, one
+chunk of `CSV_CHUNK_ROWS` rows at a time.
 """
 
 from __future__ import annotations

@@ -9,15 +9,13 @@ alike once the true outcome is held fixed.
 
 from __future__ import annotations
 
-import io
-import csv
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ioutil import atomic_write_text, to_jsonable
-from .tabular import DataError
+from .tabular import DataError, _field
 
 
 BINS, VALUE_RANGE = 20, (0.0, 1.0)  # the histograms an audit draws unless told otherwise
@@ -283,25 +281,24 @@ def render_bias_table(table: BiasTable) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_text(rows) -> str:
+    """`rows` as CSV text with "\\n" line ends, each field quoted as `write_csv` quotes it."""
+    return "".join(",".join(_field(str(v)) for v in row) + "\n" for row in rows)
+
+
 def bias_table_csv(table: BiasTable) -> str:
-    sink = io.StringIO()
-    w = csv.writer(sink, lineterminator="\n")
-    w.writerow(["row"] + [str(r.stratum) for r in table.rows])
-    for label, vals in _bias_rows(table):
-        w.writerow([label] + [_fmt(v) for v in vals])
-    return sink.getvalue()
+    header = ["row"] + [r.stratum for r in table.rows]
+    return _csv_text([header] + [[label] + [_fmt(v) for v in vals] for label, vals in _bias_rows(table)])
 
 
 def histograms_csv(report: AuditReport) -> str:
     """Plot-ready long format: bin_lo, bin_hi, group, stratum, count."""
-    sink = io.StringIO()
-    w = csv.writer(sink, lineterminator="\n")
-    w.writerow(["bin_lo", "bin_hi", "group", "stratum", "count"])
+    rows = [["bin_lo", "bin_hi", "group", "stratum", "count"]]
     for group, stratum, h in report.histograms:
         width = (h.hi - h.lo) / len(h.counts)
         for i, c in enumerate(h.counts):
-            w.writerow([repr(h.lo + i * width), repr(h.lo + (i + 1) * width), group, stratum, c])
-    return sink.getvalue()
+            rows.append([repr(h.lo + i * width), repr(h.lo + (i + 1) * width), group, stratum, c])
+    return _csv_text(rows)
 
 
 def bias_table_jsonable(table: BiasTable) -> dict:

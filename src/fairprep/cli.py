@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fairprep", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("debias", parents=[], help="rewrite a CSV so a protected column is unrecoverable")
+    p = sub.add_parser("debias", help="rewrite a CSV so a protected column is unrecoverable")
     p.add_argument("--input", required=True, help="input CSV")
     p.add_argument("--schema", required=True, help="schema JSON (list of column specs)")
     p.add_argument("--protected", required=True,

@@ -45,11 +45,6 @@ def canonical_json(obj) -> str:
     return json.dumps(to_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _temp_beside(path: Path) -> tuple:
-    """A new empty temp file in `path`'s directory, as (fd, name); a rename from it is atomic."""
-    return tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-
-
 def _about(path: Path, exc: OSError) -> OSError:
     """`exc` retold about `path`: a failed write names a temp file its caller never asked for."""
     if exc.errno is None:
@@ -61,15 +56,15 @@ def _about(path: Path, exc: OSError) -> OSError:
 def atomic_output(path):
     """A binary file whose bytes replace `path` when the block ends without error.
 
-    The file is a temp file beside `path`, removed on any error. An OSError
-    raised in the block, or while creating or renaming the file, is raised
-    again with `path` as its file name.
+    The file is a temp file beside `path`, so the rename is atomic, and it is
+    removed on any error. An OSError raised in the block, or while creating
+    or renaming the file, is raised again with `path` as its file name.
     """
     path = Path(path)
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = _temp_beside(path)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
         with os.fdopen(fd, "wb") as fh:
             yield fh
         os.replace(tmp, path)
@@ -78,19 +73,6 @@ def atomic_output(path):
         raise _about(path, exc) from exc
     finally:
         if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
-
-
-@contextmanager
-def temp_path_beside(path):
-    """The name of a new empty temp file beside `path`, removed when the block ends."""
-    path = Path(path)
-    fd, tmp = _temp_beside(path)
-    os.close(fd)
-    try:
-        yield tmp
-    finally:
-        if os.path.exists(tmp):
             os.unlink(tmp)
 
 

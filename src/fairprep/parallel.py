@@ -12,8 +12,8 @@ error and reports once: its values, the warnings they raised and its error.
 This process shows each child's warnings through its own filters, then raises
 its error, child by child in call order, so a caller writes its schedule once
 and gets the same values, warnings and first error on any number of CPUs.
-Its two users are `run_study`'s seeds and the two halves of a large
-`write_csv`. `worker_count` gives the usable CPUs, which is 1 off Linux.
+Its one user is `run_study`'s seeds. `worker_count` gives the usable CPUs,
+which is 1 off Linux.
 """
 
 from __future__ import annotations

@@ -16,8 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import shutil
-from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
 from numbers import Real
@@ -27,6 +25,7 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .ioutil import atomic_output
 from .mlcore import derive_rng
 
 KINDS = ("numeric", "categorical", "binary")
@@ -130,7 +129,7 @@ class DataTable:
         self._arrays = {s.name: _stored(s, convert(s, columns[s.name])) for s in self.schema}
 
     def __reduce__(self):
-        # rebuilt through from_arrays, so a copy sent to a worker process is read-only too
+        # rebuilt through from_arrays, so an unpickled copy is read-only too
         return DataTable.from_arrays, (self.schema, self._arrays)
 
     @property
@@ -417,23 +416,6 @@ def _cell_texts(spec: ColumnSpec, arr) -> list:
 #: time, so neither the cell strings nor the text of the whole table exist at once
 CSV_CHUNK_ROWS = 8192
 
-#: rows from which `write_csv` cuts a table in two parts, formatted at once by
-#: this process and a forked child where two CPUs are usable. On a 2-CPU box
-#: with a 300 MB caller, an 11-column table broke even at about 4000 rows; at
-#: 10 000 rows the forked write took 0.056 s against 0.080 s
-MIN_ROWS_FOR_A_WRITER = 10_000
-
-
-def _write_rows(table: DataTable, path, start: int, stop: int) -> None:
-    """Write rows [start, stop) of `table` to the file `path`, CSV_CHUNK_ROWS at a time."""
-    columns = [(s, table.array(s.name)) for s in table.schema]
-    with open(path, "wb") as fh:
-        for lo in range(start, stop, CSV_CHUNK_ROWS):
-            texts = [_cell_texts(s, arr[lo:min(lo + CSV_CHUNK_ROWS, stop)]) for s, arr in columns]
-            if len(texts) == 1:
-                texts = [[text or '""' for text in texts[0]]]
-            fh.write(("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8"))
-
 
 def write_csv(table: DataTable, path) -> None:
     """Write the table back to CSV, header first, with "\\n" line ends.
@@ -442,30 +424,20 @@ def write_csv(table: DataTable, path) -> None:
     that no line is blank. Header names and category labels are quoted as
     `_field` says; a number never needs quoting.
 
-    The rows are cut in one part, or in two halves from MIN_ROWS_FOR_A_WRITER
-    rows, and one `parallel.map` call formats each part into a temp file
-    beside `path`, CSV_CHUNK_ROWS rows at a time. This process formats the
-    first part; with two usable CPUs a forked child formats the second
-    meanwhile, else this process formats it next. The parts are then copied
-    in order after the header. Every schedule gives the same bytes. An
-    OSError, here or in the child, names `path`.
+    This process writes the header, then formats and writes CSV_CHUNK_ROWS
+    rows at a time, into `atomic_output`'s temp file; an OSError names `path`.
     """
-    from . import parallel
-    from .ioutil import atomic_output, temp_path_beside
-
     header = [_field(s.name) for s in table.schema]
     if len(header) == 1:
         header = [header[0] or '""']
-    n = table.n_rows
-    cuts = [0, n // 2, n] if n >= MIN_ROWS_FOR_A_WRITER else [0, n]
-    with atomic_output(path) as fh, ExitStack() as parts:
-        # the child forks before anything is written, so it holds no buffered bytes of `fh`
-        names = [parts.enter_context(temp_path_beside(path)) for _ in cuts[1:]]
-        parallel.map(_write_rows, [(table, name, lo, hi) for name, lo, hi in zip(names, cuts, cuts[1:])])
+    columns = [(s, table.array(s.name)) for s in table.schema]
+    with atomic_output(path) as fh:
         fh.write((",".join(header) + "\n").encode("utf-8"))
-        for name in names:
-            with open(name, "rb") as part:
-                shutil.copyfileobj(part, fh)
+        for lo in range(0, table.n_rows, CSV_CHUNK_ROWS):
+            texts = [_cell_texts(s, arr[lo:lo + CSV_CHUNK_ROWS]) for s, arr in columns]
+            if len(texts) == 1:
+                texts = [[text or '""' for text in texts[0]]]
+            fh.write(("\n".join(map(",".join, zip(*texts))) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

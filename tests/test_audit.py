@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 import struct
 
@@ -15,6 +17,7 @@ from fairprep.audit import (
     check_settings,
     group_stats,
     histogram,
+    histograms_csv,
     render_bias_table,
     report_jsonable,
 )
@@ -335,6 +338,22 @@ def test_render_keeps_a_column_for_each_stratum_even_when_two_print_alike():
     csv_rows = [line.split(",")[-2:] for line in bias_table_csv(report.bias_table).splitlines()]
     assert text_rows == csv_rows
     assert text_rows[1] == ["0.2000", "0.6000"]  # mu 0 of each stratum
+
+
+def test_audit_csvs_quote_labels_so_they_read_back_as_written():
+    # a carriage return, and a comma, in a label must not cut a row
+    report = audit([0.1, 0.2, 0.6, 0.7], ["a\rb", "c", "a\rb", "c"], ["x,y"] * 4, bins=2)
+    bias_rows = list(csv.reader(io.StringIO(bias_table_csv(report.bias_table), newline="")))
+    assert bias_rows[0] == ["row", "x,y"]
+    assert [row[0] for row in bias_rows[1:]] == [
+        "mu a\rb", "mu c", "mu diff", "sigma a\rb", "sigma c", "sigma average", "mu diff / sigma average",
+    ]
+    assert bias_rows[1] == ["mu a\rb", "0.3500"]
+    hist_rows = list(csv.reader(io.StringIO(histograms_csv(report), newline="")))
+    assert hist_rows == [["bin_lo", "bin_hi", "group", "stratum", "count"]] + [
+        [lo, hi, group, "x,y", "1"]
+        for group in ("a\rb", "c") for lo, hi in (("0.0", "0.5"), ("0.5", "1.0"))
+    ]
 
 
 def test_report_jsonable_is_json_safe():

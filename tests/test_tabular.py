@@ -3,13 +3,11 @@ import errno
 import gc
 import json
 import math
-import multiprocessing
 import os
 import pickle
 import sys
 import tempfile
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -253,34 +251,15 @@ def _reference_text(table) -> str:
     return oracles.reference_csv_text(table.column_names, rows)
 
 
-def _small_writer(mp, chunk_rows: int, min_rows: int, cpus: int = 2) -> list:
-    """Make `write_csv` cut `chunk_rows`-row chunks and two parts from
-    `min_rows` rows, as on `cpus` usable CPUs. Returns the list that records
-    each fork made in this process."""
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    mp.setattr(tabular, "CSV_CHUNK_ROWS", chunk_rows)
-    mp.setattr(tabular, "MIN_ROWS_FOR_A_WRITER", min_rows)
-    mp.setattr(parallel, "worker_count", lambda: cpus)
-    mp.setattr(os, "fork", counted_fork)
-    return forks
-
-
-@settings(max_examples=100, deadline=None)  # each forked example starts a process
-@given(_quoting_tables(), st.integers(1, 3), st.integers(0, 4), st.integers(1, 2))
-def test_property_write_csv_in_chunks_and_halves_matches_csv_writer(table, chunk_rows, min_rows, cpus):
+@settings(max_examples=100, deadline=None)
+@given(_quoting_tables(), st.integers(1, 3))
+def test_property_write_csv_in_chunks_matches_csv_writer(table, chunk_rows):
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as tmp:
-        forks = _small_writer(mp, chunk_rows, min_rows, cpus)
+        mp.setattr(tabular, "CSV_CHUNK_ROWS", chunk_rows)
         path = Path(tmp) / "t.csv"
         write_csv(table, path)
         text = path.read_bytes().decode("utf-8")
         assert os.listdir(tmp) == ["t.csv"]
-    # the caller formats the first half, a forked child the second
-    assert len(forks) == (table.n_rows >= min_rows and cpus == 2)
     assert text == _reference_text(table)
 
 
@@ -303,10 +282,10 @@ def _numbers(n: int, missing=()) -> list:
                  {"x": _numbers(10, {5}), "y": _numbers(10, {4, 5})}, id="nan-on-the-split-row"),
 ])
 def test_write_csv_forked_edge_cases_match_csv_writer(tmp_path, monkeypatch, schema, columns):
-    forks = _small_writer(monkeypatch, 4, 0)
+    # 4-row chunks, so each case with rows spans several
+    monkeypatch.setattr(tabular, "CSV_CHUNK_ROWS", 4)
     table = DataTable(schema, columns)
     write_csv(table, tmp_path / "t.csv")
-    assert len(forks) == 1
     assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
     assert os.listdir(tmp_path) == ["t.csv"]
 
@@ -317,81 +296,49 @@ def _wide_table(n: int) -> DataTable:
                                           "c": np.arange(n) % 3 - 1})
 
 
-def test_a_table_below_the_threshold_forks_no_writer(tmp_path, monkeypatch):
-    def refuse():
-        raise AssertionError("forked a writer for a small table")
+def test_write_csv_forks_nothing_at_any_size(tmp_path, monkeypatch):
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
 
     monkeypatch.setattr(parallel, "worker_count", lambda: 2)
-    monkeypatch.setattr(os, "fork", refuse)
-    table = _wide_table(tabular.MIN_ROWS_FOR_A_WRITER - 1)
-    write_csv(table, tmp_path / "t.csv")
-    assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    for n in (10_000, 25_000):
+        table = _wide_table(n)
+        write_csv(table, tmp_path / "t.csv")
+        assert forks == []
+        assert os.listdir(tmp_path) == ["t.csv"]
+        assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
 
 
-def test_a_table_at_the_threshold_forks_two_writers(tmp_path, monkeypatch):
-    # the two writers are the caller and one forked child
-    forks = _small_writer(monkeypatch, tabular.CSV_CHUNK_ROWS, tabular.MIN_ROWS_FOR_A_WRITER)
-    table = _wide_table(tabular.MIN_ROWS_FOR_A_WRITER)
-    write_csv(table, tmp_path / "t.csv")
-    assert len(forks) == 1
-    assert (tmp_path / "t.csv").read_bytes().decode("utf-8") == _reference_text(table)
-
-
-def _fail_in(monkeypatch, where: str, error: Exception) -> None:
-    """Make `_cell_texts` raise `error` in the writer children, or in the caller."""
-    caller, cell_texts = os.getpid(), tabular._cell_texts
-
+@pytest.mark.parametrize("error", [
+    pytest.param(DataError("cell formatting failed"), id="data-error"),
+    pytest.param(OSError(errno.ENOSPC, "No space left on device"), id="os-error"),
+])
+def test_a_failed_write_raises_and_leaves_the_old_file_alone(tmp_path, monkeypatch, error):
     def failing(spec, arr):
-        if (os.getpid() == caller) == (where == "caller"):
-            raise error
-        return cell_texts(spec, arr)
+        raise error
 
     monkeypatch.setattr(tabular, "_cell_texts", failing)
-
-
-@pytest.mark.parametrize("where, error", [
-    ("child", DataError("cell formatting failed")),
-    ("child", OSError(errno.ENOSPC, "No space left on device")),
-    ("caller", DataError("cell formatting failed")),
-])
-def test_a_failed_forked_write_raises_and_leaves_the_old_file_alone(tmp_path, monkeypatch, where, error):
-    # on one usable CPU the parts are formatted in the caller
-    _small_writer(monkeypatch, 4, 0, cpus=1 if where == "caller" else 2)
-    _fail_in(monkeypatch, where, error)
     path = tmp_path / "t.csv"
     path.write_bytes(b"old")
     with pytest.raises(type(error)) as raised:
         write_csv(_wide_table(20), path)
-    if isinstance(error, OSError):  # retold about the output, not the child's temp file
+    if isinstance(error, OSError):  # retold about the output, not its temp file
         assert (raised.value.errno, raised.value.filename) == (errno.ENOSPC, str(path))
     else:
         assert str(raised.value) == "cell formatting failed"
     assert os.listdir(tmp_path) == ["t.csv"] and path.read_bytes() == b"old"
-    assert multiprocessing.active_children() == []
 
 
-def test_a_warning_in_the_writer_child_reaches_the_caller(tmp_path, monkeypatch):
-    _small_writer(monkeypatch, 100, 0)
-    caller, cell_texts = os.getpid(), tabular._cell_texts
-
-    def warns_in_the_child(spec, arr):
-        if os.getpid() != caller:
-            warnings.warn("formatted in the child", UserWarning)
-        return cell_texts(spec, arr)
-
-    monkeypatch.setattr(tabular, "_cell_texts", warns_in_the_child)
-    with pytest.warns(UserWarning, match="formatted in the child"):
-        write_csv(_wide_table(20), tmp_path / "t.csv")
-
-
-def test_write_csv_to_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path, monkeypatch):
+def test_write_csv_to_a_directory_names_the_path_and_leaves_no_temp_file(tmp_path):
     (tmp_path / "out.csv").mkdir()
-    for min_rows in (10**9, 0):  # one part, then two halves with a forked writer
-        _small_writer(monkeypatch, 4, min_rows)
-        with pytest.raises(IsADirectoryError) as raised:
-            write_csv(_wide_table(20), tmp_path / "out.csv")
-        assert raised.value.filename == str(tmp_path / "out.csv")
-        assert os.listdir(tmp_path) == ["out.csv"]
+    with pytest.raises(IsADirectoryError) as raised:
+        write_csv(_wide_table(20), tmp_path / "out.csv")
+    assert raised.value.filename == str(tmp_path / "out.csv")
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_write_csv_one_column_writes_a_missing_cell_as_quotes(tmp_path):
