@@ -12,6 +12,14 @@ the protected category from the code. Training alternates:
      realized with a single backward pass that routes the adversary's input
      gradient into the encoder with a flipped sign (gradient reversal).
 
+With `repair` above 0, training and `transform` first move each numeric
+feature cell part of the way to its repaired value (after Feldman et al. 2015,
+"Certifying and removing disparate impact"): the quantile of every fit row
+at the cell's mid-rank among its protected group's fit rows. So the
+encoder, decoder and adversary all see the repaired features, and the
+adversary is left what the repair cannot even out: the categorical features
+and the joint distribution.
+
 Reconstruction loss is squared error on numeric design columns plus
 cross-entropy on each one-hot group. The debiased dataset is the decoded
 reconstruction in the original schema: protected, target and drop-role
@@ -19,9 +27,9 @@ columns pass through untouched (downstream modeling excludes them anyway),
 every feature column is rewritten so the protected characteristic can no
 longer be recovered from it.
 
-A fitted `DebiasModel` holds what `transform` reads, and the config; the
-fitted schema's role=protected entries name the protected columns, and the
-adversary is trained and traced but not kept.
+A fitted `DebiasModel` holds what `transform` reads (the repair's quantiles
+among it), and the config; the fitted schema's role=protected entries name
+the protected columns, and the adversary is trained and traced but not kept.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ import math
 import warnings
 from dataclasses import asdict, dataclass, field
 from itertools import groupby
+from numbers import Real
 
 import numpy as np
 
@@ -75,6 +84,7 @@ class DebiasConfig:
     seed: int = 0
     encoder_hidden: int | None = None  # None: 2*d
     adversary_hidden: int | None = None  # None: latent_dim
+    repair: float = 0.0  # how far each numeric feature cell moves to its repaired value, in [0, 1]
 
     def __post_init__(self):
         for name in ("epochs", "adversary_steps", "batch_size"):
@@ -85,6 +95,8 @@ class DebiasConfig:
         check_finite("adversary_weight", self.adversary_weight)
         check_finite("learning_rate", self.learning_rate, positive=True)
         check_seed(self.seed)
+        if isinstance(self.repair, bool) or not (isinstance(self.repair, Real) and 0 <= self.repair <= 1):
+            raise ValueError(f"repair must be a number in [0, 1], got {self.repair!r}")
 
 
 @dataclass
@@ -107,7 +119,11 @@ class TrainingTrace:
 
 @dataclass
 class DebiasModel:
-    """A fitted debiaser: everything `transform` reads, and the config it was trained with."""
+    """A fitted debiaser: everything `transform` reads, and the config it was trained with.
+
+    `repair_quantiles` maps each numeric feature to its `fit_repair`
+    quantiles; it is empty when `config.repair` is 0.
+    """
 
     encoder: Mlp
     decoder: Mlp
@@ -115,6 +131,94 @@ class DebiasModel:
     scaler: tuple
     schema: list
     config: DebiasConfig
+    repair_quantiles: dict = field(default_factory=dict)
+
+
+# ---------------------------------------------------------------------------
+# quantile repair
+
+LEVELS = np.arange(101) / 100  # the levels a repair's quantiles are taken at
+
+
+def _quantiles(values) -> np.ndarray:
+    """The quantiles at LEVELS of the observed cells of each column of `values`, one row per
+    column; linear between order statistics, as `np.quantile`. NaN where none is observed."""
+    ordered = np.sort(values, axis=0)  # missing cells (NaN) sort last
+    last = np.count_nonzero(~np.isnan(values), axis=0) - 1
+    pos = LEVELS[:, None] * last
+    lo = np.floor(pos).astype(np.intp)
+    cols = np.arange(values.shape[1])
+    a, b = ordered[lo, cols], ordered[np.minimum(lo + 1, np.maximum(last, 0)), cols]
+    return (a + (pos - lo) * (b - a)).T
+
+
+def fit_repair(table: DataTable, protected: str) -> dict:
+    """Map each numeric feature of `table` to its quantiles at LEVELS within each category of
+    `protected`, in code order, then over every row: an array of (categories + 1, levels).
+
+    A category with no observed cell of a feature takes the pooled quantiles, so its
+    cells, like a cell whose protected value is missing, keep about their value.
+    """
+    names = [s.name for s in table.specs_with_role("feature") if s.kind == "numeric"]
+    if not names:
+        return {}
+    values = np.column_stack([table.array(name) for name in names])
+    codes = table.array(protected)
+    pooled = _quantiles(values)
+    tables = []
+    for g in range(len(table.spec(protected).categories)):
+        rows = values[codes == g]
+        q = _quantiles(rows) if len(rows) else pooled
+        tables.append(np.where(np.isnan(q), pooled, q))
+    return dict(zip(names, np.stack(tables + [pooled], axis=1)))
+
+
+def _repaired(table: DataTable, repair_quantiles: dict, amount) -> DataTable:
+    """`table` with each numeric feature in `repair_quantiles` moved `amount` of the way to
+    its repair.
+
+    A cell's repair is the pooled quantile at the cell's mid-rank among its protected
+    group's quantiles: linear between two quantiles, the middle level of a run of quantiles
+    equal to it (tied cells share one), 0 or 1 beyond the ends. Missing cells stay missing;
+    the table has one protected column.
+    """
+    (protected,) = table.specs_with_role("protected")
+    n_groups = len(protected.categories) + 1  # a missing protected cell: the pooled quantiles
+    codes = table.array(protected.name)
+    group = np.where(codes < 0, n_groups - 1, codes)
+    order = np.argsort(group, kind="stable")  # each group's rows, one after another
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n_groups))])
+    names = list(repair_quantiles)
+    quantiles = np.stack([repair_quantiles[name] for name in names])  # (features, groups, levels)
+    x = np.stack([table.array(name)[order] for name in names])  # (features, rows)
+    hi = np.empty(x.shape, np.intp)  # how many of its group's quantiles are <= each cell
+    for f, g in np.ndindex(len(names), n_groups):
+        rows = slice(bounds[g], bounds[g + 1])
+        hi[f, rows] = np.searchsorted(quantiles[f, g], x[f, rows], "right")
+    k = len(LEVELS) - 1
+    # the first level of the run of equal quantiles each level is in
+    new_run = np.concatenate([np.ones(quantiles.shape[:2] + (1,), bool),
+                              quantiles[..., 1:] != quantiles[..., :-1]], axis=2)
+    run_start = np.maximum.accumulate(np.where(new_run, np.arange(k + 1), 0), axis=2).ravel()
+    flat = quantiles.ravel()
+    start = (np.arange(len(names))[:, None] * n_groups + group[order]) * (k + 1)  # each cell's row
+    i = start + np.clip(hi, 1, k)
+    below, above = flat[i - 1], flat[i]  # a cell equal to `below` ties: its run ends at hi - 1
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero gap: past an end, or a tie
+        between = np.clip(i - start - 1 + (x - below) / (above - below), 0, k)
+    # each cell's position among its group's quantiles, in levels from 0 to k
+    pos = np.where(below == x, (run_start[i - 1] + hi - 1) / 2, between)
+    # the pooled quantiles at that position, interpolated from the nearer end of its interval
+    j = np.minimum(np.nan_to_num(pos).astype(np.intp), k - 1)
+    frac = pos - j
+    j += (np.arange(len(names))[:, None] * n_groups + n_groups - 1) * (k + 1)
+    a, b = flat[j], flat[j + 1]
+    pooled = np.where(frac < 0.5, a + frac * (b - a), b - (1 - frac) * (b - a))
+    repaired = np.empty(x.shape)
+    repaired[:, order] = (1 - amount) * x + amount * pooled
+    arrays = {name: table.array(name) for name in table.column_names}
+    arrays.update(zip(names, repaired))
+    return DataTable.from_arrays(table.schema, arrays)
 
 
 def _summed_loss(pred, target, blocks):
@@ -175,7 +279,9 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
     """Fit the encoder/decoder/adversary triple on a table. Returns (model, trace).
 
     Only role=feature columns enter the encoder; the table needs at least one
-    categorical/binary protected column and 50 rows. The model records the
+    categorical/binary protected column and 50 rows. With `cfg.repair` above
+    0 the table needs exactly one protected column, and training sees its
+    numeric features repaired by quantiles fitted on it. The model records the
     table's schema without its drop-role columns, so a table with or without
     them gives the same model. The adversary's loss is in the trace, but the
     model does not keep it. Fully deterministic for a given (table, cfg).
@@ -189,6 +295,12 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
         if s.kind == "numeric":
             raise SchemaError(f"protected column {s.name!r} must be categorical or binary")
     names = [s.name for s in protected_specs]
+    repair_quantiles = {}
+    if cfg.repair > 0:
+        if len(names) > 1:
+            raise SchemaError(f"repair takes one protected column, got {len(names)}: {names}")
+        repair_quantiles = fit_repair(table, names[0])
+        table = _repaired(table, repair_quantiles, cfg.repair)
 
     column_map, scaler = encode(table)
     X = apply_encoding(table, column_map, scaler)
@@ -268,7 +380,7 @@ def train_debiaser(table: DataTable, cfg: DebiasConfig):
                 )
 
     schema = [s for s in table.schema if s.role != "drop"]
-    return DebiasModel(encoder, decoder, column_map, scaler, schema, cfg), trace
+    return DebiasModel(encoder, decoder, column_map, scaler, schema, cfg, repair_quantiles), trace
 
 
 def _check_schema_match(model: DebiasModel, table: DataTable) -> None:
@@ -289,11 +401,14 @@ def transform(model: DebiasModel, table: DataTable) -> DataTable:
     The table's columns other than drop-role ones must match the fitted
     schema. Drop-role columns (ids, free text) may be any, fitted or not:
     `decode` carries them through in place, with the protected and target
-    columns. Only the encoder's output is kept, so the design matrix and the
-    encoder's cache are freed before the decoder runs.
+    columns. A model fitted with a repair repairs the numeric features first.
+    Only the encoder's output is kept, so the design matrix and the encoder's
+    cache are freed before the decoder runs.
     """
     _check_schema_match(model, table)
-    z = mlp_forward(model.encoder, apply_encoding(table, model.column_map, model.scaler))[1]
+    quantiles, amount = model.repair_quantiles, model.config.repair
+    features = _repaired(table, quantiles, amount) if quantiles else table
+    z = mlp_forward(model.encoder, apply_encoding(features, model.column_map, model.scaler))[1]
     recon = mlp_forward(model.decoder, z)[1]
     return decode(recon, model.column_map, model.scaler, table)
 
@@ -361,7 +476,7 @@ def _net_from_jsonable(data) -> Mlp:
 
 
 def save_debias_model(model: DebiasModel, path) -> None:
-    """Write the model's six fields to `path` as canonical JSON."""
+    """Write the model's seven fields to `path` as canonical JSON."""
     from .tabular import schema_to_jsonable
 
     write_json(
@@ -375,23 +490,33 @@ def save_debias_model(model: DebiasModel, path) -> None:
             "encoder": _net_jsonable(model.encoder),
             "decoder": _net_jsonable(model.decoder),
             "config": asdict(model.config),
+            "repair_quantiles": {name: q.tolist() for name, q in model.repair_quantiles.items()},
         },
     )
 
 
 def load_debias_model(path) -> DebiasModel:
     """Read a model file. JSON keeps binary categories as ints and labels as strings, so the
-    column map is taken as written; an older file's `adversary` and `protected` go unread."""
+    column map is taken as written; an older file's `adversary` and `protected` go unread,
+    and one without `repair_quantiles` loads as repair 0."""
     from .tabular import DesignColumn, schema_from_jsonable
 
     data = read_json(path)
+    schema = schema_from_jsonable(data["schema"])
+    quantiles = {name: np.asarray(q, dtype=float) for name, q in data.get("repair_quantiles", {}).items()}
+    shape = (sum(len(s.categories) for s in schema if s.role == "protected") + 1, len(LEVELS))
+    for name, q in quantiles.items():
+        if q.shape != shape:
+            raise SchemaError(f"model repair_quantiles {name!r} has shape {q.shape}, "
+                              f"the schema needs {shape}")
     return DebiasModel(
         encoder=_net_from_jsonable(data["encoder"]),
         decoder=_net_from_jsonable(data["decoder"]),
         column_map=tuple(DesignColumn(c["source"], c["category"]) for c in data["column_map"]),
         scaler=tuple((float(m), float(s)) for m, s in data["scaler"]),
-        schema=schema_from_jsonable(data["schema"]),
+        schema=schema,
         config=DebiasConfig(**data["config"]),
+        repair_quantiles=quantiles,
     )
 
 

@@ -3,6 +3,7 @@ import json
 import math
 import statistics
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 
 from fairprep import debias
+from fairprep.cli import main as cli_main
 from fairprep.debias import (
     DebiasConfig,
     leakage_probe,
@@ -22,7 +24,7 @@ from fairprep.debias import (
     write_trace_csv,
 )
 from fairprep.ioutil import write_json
-from fairprep.mlcore import TrainingDivergedError, derive_rng, mlp_init
+from fairprep.mlcore import TrainingDivergedError, derive_rng, mlp_forward, mlp_init
 from fairprep.tabular import (
     MISSING_CATEGORY,
     ColumnSpec,
@@ -30,10 +32,13 @@ from fairprep.tabular import (
     DataTable,
     SchemaError,
     apply_encoding,
+    decode,
     drop_columns,
     encode,
     write_csv,
 )
+
+STUDIES = Path(__file__).resolve().parent.parent / "studies"
 
 
 def copy_dataset(n=400, seed=0, n_noise=3):
@@ -358,7 +363,7 @@ def test_model_serialization_round_trip(tmp_path):
     assert out_a.columns == out_b.columns
     # a saved model holds what transform reads, and the config as provenance
     assert sorted(json.loads(path.read_text())) == [
-        "column_map", "config", "decoder", "encoder", "scaler", "schema"]
+        "column_map", "config", "decoder", "encoder", "repair_quantiles", "scaler", "schema"]
 
 
 def test_a_model_fitted_with_a_missing_binary_cell_saves_loads_and_transforms(tmp_path):
@@ -544,3 +549,189 @@ def test_minibatch_divergence_ends_the_epoch():
         train_debiaser(table, DebiasConfig(epochs=3, learning_rate=1e160, batch_size=30))
     assert len(err.value.trace) == err.value.epoch + 1
     assert not math.isfinite(err.value.trace.combined_loss[-1])
+
+
+# ---------------------------------------------------------------------------
+# quantile repair
+
+
+def proxy_table(n=300, seed=0):
+    """Two numeric proxies of a binary group (one with ties and a missing cell), a noise column
+    and a categorical proxy."""
+    rng = derive_rng(seed, "proxy-table")
+    g = (rng.random(n) < 0.4).astype(int)
+    schema = [
+        ColumnSpec("shift", "numeric"),
+        ColumnSpec("steps", "numeric"),
+        ColumnSpec("noise", "numeric"),
+        ColumnSpec("shade", "categorical", categories=("light", "dark")),
+        ColumnSpec("group", "binary", "protected"),
+        ColumnSpec("y", "binary", "target"),
+    ]
+    return DataTable.from_arrays(schema, {
+        "shift": g + rng.standard_normal(n),
+        "steps": np.where(np.arange(n) == 5, np.nan, np.floor(3 * rng.random(n) + g)),
+        "noise": rng.standard_normal(n),
+        "shade": np.where(rng.random(n) < 0.7, g, 1 - g),
+        "group": g,
+        "y": (rng.random(n) < 0.5).astype(int),
+    })
+
+
+def hand_table(x, groups):
+    schema = [ColumnSpec("x", "numeric"), ColumnSpec("g", "binary", "protected")]
+    return DataTable(schema, {"x": x, "g": groups})
+
+
+# group 0 holds 1, 2, 2, 2, 5; group 1 holds 10, 20, 30, 40, 50. With 5 cells a group's
+# quantile at level p sits at position 4p, so its levels 25, 50 and 75 are its cells 2-4.
+HAND = hand_table([1.0, 2.0, 2.0, 2.0, 5.0, 10.0, 20.0, 30.0, 40.0, 50.0], [0] * 5 + [1] * 5)
+
+
+def test_repair_quantiles_are_numpys_over_the_observed_cells():
+    rng = derive_rng(7, "quantiles")
+    values = rng.standard_normal((57, 4))
+    values[:, 3] = np.round(values[:, 3])  # ties
+    values[rng.random(values.shape) < 0.2] = math.nan
+    want = [np.quantile(col[~np.isnan(col)], debias.LEVELS) for col in values.T]
+    assert np.allclose(debias._quantiles(values), want, rtol=0, atol=1e-12)
+
+
+def test_repair_gives_tied_cells_their_mid_rank():
+    repair = debias.fit_repair(HAND, "g")
+    assert repair["x"].shape == (3, 101)  # two groups, then the pooled quantiles
+    # group 0's three 2s fill levels 25-75, so they share the mid-rank 0.5; 1 and 5 are its ends.
+    # Group 1's cells sit at levels 0, 0.25, 0.5, 0.75 and 1. The pooled quantile at a level
+    # sits at position 9p of 1, 2, 2, 2, 5, 10, 20, 30, 40, 50: 0.5 -> 7.5, 0.25 -> 2, 0.75 -> 27.5
+    assert debias._repaired(HAND, repair, 1.0).column("x") == [
+        1.0, 7.5, 7.5, 7.5, 50.0, 1.0, 2.0, 7.5, 27.5, 50.0]
+    # amount 0.5 moves each cell half way
+    assert debias._repaired(HAND, repair, 0.5).column("x") == [
+        1.0, 4.75, 4.75, 4.75, 27.5, 5.5, 11.0, 18.75, 33.75, 50.0]
+
+
+def test_repair_keeps_missing_cells_missing():
+    table = hand_table([1.0, None, 2.0, 2.0, 2.0, 5.0, 10.0, 20.0, 30.0, None, 40.0, 50.0],
+                       [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1])
+    repair = debias.fit_repair(table, "g")
+    # the missing cells are not counted: the quantiles are those of the observed cells
+    assert np.array_equal(repair["x"], debias.fit_repair(HAND, "g")["x"])
+    assert debias._repaired(table, repair, 1.0).column("x") == [
+        1.0, None, 7.5, 7.5, 7.5, 50.0, 1.0, 2.0, 7.5, None, 27.5, 50.0]
+
+
+def test_a_repair_maps_cells_it_was_not_fitted_on():
+    repair = debias.fit_repair(HAND, "g")
+    unseen = hand_table([1.5, 3.5, -7.0, 99.0, 2.0, 15.0, 35.0, 0.0, 60.0], [0] * 5 + [1] * 4)
+    # group 0: 1.5 sits at level 0.125 (its quantiles climb from 1 to 2 over levels 0-25) and
+    # 3.5 at 0.875; group 1: 15 at 0.125 and 35 at 0.625. The pooled quantiles there (positions
+    # 1.125, 7.875 and 5.625) are 2, 38.75 and 16.25. Cells beyond a group's ends take the
+    # pooled ends, and a cell equal to a run of a group's quantiles takes its middle level
+    got = debias._repaired(unseen, repair, 1.0).column("x")
+    assert got == pytest.approx([2.0, 38.75, 1.0, 50.0, 7.5, 2.0, 16.25, 1.0, 50.0], abs=1e-12)
+    # a model fitted on some rows rewrites rows it never saw
+    table = proxy_table()
+    model, _ = train_debiaser(table.take_rows(np.arange(200)), DebiasConfig(epochs=5, repair=1.0))
+    out = transform(model, table.take_rows(np.arange(200, 300)))
+    assert out.n_rows == 100 and np.isfinite(out.array("shift")).all()
+
+
+def test_repair_zero_trains_and_transforms_as_without_one():
+    table = proxy_table(n=120)
+    cfg = DebiasConfig(epochs=8, seed=4)
+    assert cfg.repair == 0.0
+    model, trace = train_debiaser(table, cfg)
+    assert model.repair_quantiles == {}
+    ref_encoder, ref_decoder, _, ref_trace = oracles.reference_debias_training(table, cfg)
+    for net, ref in ((model.encoder, ref_encoder), (model.decoder, ref_decoder)):
+        for got, want in zip(net.weights + net.biases, ref.weights + ref.biases):
+            assert np.array_equal(got, want)
+    assert trace.combined_loss == ref_trace.combined_loss
+    # transform is the encoder and decoder on the raw design matrix
+    X = apply_encoding(table, model.column_map, model.scaler)
+    recon = mlp_forward(model.decoder, mlp_forward(model.encoder, X)[1])[1]
+    plain = decode(recon, model.column_map, model.scaler, table)
+    out = transform(model, table)
+    for name in table.column_names:
+        assert np.array_equal(out.array(name), plain.array(name), equal_nan=True)
+
+
+def test_training_sees_the_repaired_features():
+    table = proxy_table()
+    model, _ = train_debiaser(table, DebiasConfig(epochs=3, repair=1.0, seed=1))
+    assert sorted(model.repair_quantiles) == ["noise", "shift", "steps"]
+    repaired = debias._repaired(table, model.repair_quantiles, 1.0)
+    # the scaler is fitted on the repaired cells: their mean is the encoding's centre
+    shift = repaired.array("shift")
+    assert model.scaler[0] == (float(np.mean(shift)), float(np.std(shift)))
+    assert not np.array_equal(shift, table.array("shift"))
+
+
+def test_a_repaired_model_saves_loads_and_rewrites_the_same_bytes(tmp_path):
+    table = proxy_table()
+    model, _ = train_debiaser(table, DebiasConfig(epochs=5, repair=0.4, seed=2))
+    save_debias_model(model, tmp_path / "model.json")
+    loaded = load_debias_model(tmp_path / "model.json")
+    assert loaded.config == model.config
+    assert all(np.array_equal(loaded.repair_quantiles[k], q) for k, q in model.repair_quantiles.items())
+    write_csv(transform(model, table), tmp_path / "in_memory.csv")
+    write_csv(transform(loaded, table), tmp_path / "loaded.csv")
+    assert (tmp_path / "loaded.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+
+
+def test_a_repaired_model_file_does_not_grow_with_the_rows(tmp_path):
+    sizes = []
+    for n in (200, 4000):
+        model, _ = train_debiaser(proxy_table(n), DebiasConfig(epochs=2, repair=1.0))
+        save_debias_model(model, tmp_path / f"model{n}.json")
+        sizes.append((tmp_path / f"model{n}.json").stat().st_size)
+    assert sizes[1] < 1.05 * sizes[0], sizes
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, math.nan, math.inf, True, "0.5", None])
+def test_config_rejects_a_repair_outside_zero_to_one(value):
+    with pytest.raises(ValueError, match=r"repair must be a number in \[0, 1\]"):
+        DebiasConfig(repair=value)
+    assert DebiasConfig(repair=1).repair == 1
+
+
+def test_a_study_config_with_a_repair_outside_zero_to_one_exits_two(tmp_path, capsys):
+    config = json.loads((STUDIES / "compas.json").read_text())
+    config["schema"] = str((STUDIES / config["schema"]).resolve())
+    config["source"]["bundled"] = str((STUDIES / config["source"]["bundled"]).resolve())
+    config["debias"]["repair"] = 1.5
+    (tmp_path / "compas.json").write_text(json.dumps(config))
+    assert cli_main(["run-study", "--config", str(tmp_path / "compas.json"),
+                     "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "repair must be a number in [0, 1]" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_repair_with_two_protected_columns_is_refused():
+    with pytest.raises(SchemaError, match="repair takes one protected column, got 2"):
+        train_debiaser(multi_protected_table(), DebiasConfig(epochs=2, repair=0.5))
+
+
+def test_a_model_file_from_before_the_repair_loads_as_repair_zero(tmp_path):
+    table = proxy_table(n=120)
+    model, _ = train_debiaser(table, DebiasConfig(epochs=5, seed=1))
+    save_debias_model(model, tmp_path / "model.json")
+    data = json.loads((tmp_path / "model.json").read_text())
+    del data["repair_quantiles"], data["config"]["repair"]  # the entries the older format lacks
+    write_json(tmp_path / "old.json", data)
+    old = load_debias_model(tmp_path / "old.json")
+    assert old.config.repair == 0 and old.repair_quantiles == {}
+    write_csv(transform(model, table), tmp_path / "in_memory.csv")
+    write_csv(transform(old, table), tmp_path / "old.csv")
+    assert (tmp_path / "old.csv").read_bytes() == (tmp_path / "in_memory.csv").read_bytes()
+
+
+def test_a_model_file_with_a_wrongly_shaped_repair_does_not_load(tmp_path):
+    model, _ = train_debiaser(proxy_table(n=120), DebiasConfig(epochs=2, repair=1.0))
+    save_debias_model(model, tmp_path / "model.json")
+    data = json.loads((tmp_path / "model.json").read_text())
+    data["repair_quantiles"]["shift"] = data["repair_quantiles"]["shift"][:2]
+    write_json(tmp_path / "model.json", data)
+    with pytest.raises(SchemaError, match=r"repair_quantiles 'shift' has shape \(2, 101\), the schema needs \(3, 101\)"):
+        load_debias_model(tmp_path / "model.json")

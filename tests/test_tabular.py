@@ -279,9 +279,9 @@ def _numbers(n: int, missing=()) -> list:
                  {"x": _numbers(12, {3}), "f": [i % 3 % 2 if i % 5 else None for i in range(12)]},
                  id="rows-an-exact-multiple-of-the-chunk"),
     pytest.param([ColumnSpec("x", "numeric"), ColumnSpec("y", "numeric")],
-                 {"x": _numbers(10, {5}), "y": _numbers(10, {4, 5})}, id="nan-on-the-split-row"),
+                 {"x": _numbers(10, {5}), "y": _numbers(10, {4, 5})}, id="nan-opening-the-second-chunk"),
 ])
-def test_write_csv_forked_edge_cases_match_csv_writer(tmp_path, monkeypatch, schema, columns):
+def test_write_csv_edge_cases_match_csv_writer(tmp_path, monkeypatch, schema, columns):
     # 4-row chunks, so each case with rows spans several
     monkeypatch.setattr(tabular, "CSV_CHUNK_ROWS", 4)
     table = DataTable(schema, columns)
